@@ -17,35 +17,36 @@ repo's round-level speedups:
   one at the same n=400 feature set, after asserting both discover the
   same trusted majority.
 * ``collect_gradients``    — the round's collect stage at n=100 clients:
-  sequential loop vs :class:`repro.fl.ParallelCollector` with 4 workers.
-  Clients carry a small simulated dispatch latency (``time.sleep``, GIL
-  released), standing in for the client round-trip of a deployed
-  federation — that waiting is what the thread pool overlaps, and on
-  multi-core hosts the numpy compute parallelizes on top of it.  The
-  latency is recorded in the JSON (``simulated_client_latency_s``) so the
-  number is never mistaken for a single-core compute speedup.  A pure
-  compute-bound variant (no latency) is recorded for the threaded backend
-  as context without a floor, and for the **process** backend
-  (:class:`repro.fl.ProcessCollector`, shared-memory round buffer) with a
-  >= 1.5x floor that is enforced whenever the host has more than one core
-  (``cpu_count`` is recorded in the JSON; on a single-core host the
-  process pool cannot beat sequential and the floor is reported as
-  skipped).  The threaded and process float64 buffers are verified
-  **bit-identical** to the sequential one before any timing is trusted.
+  sequential loop vs the ``"thread"`` backend with 4 workers (a localhost
+  fleet of worker threads).  Clients carry a small simulated dispatch
+  latency (``time.sleep``, GIL released), standing in for the client
+  round-trip of a deployed federation — that waiting is what the worker
+  threads overlap, and on multi-core hosts the numpy compute parallelizes
+  on top of it.  The latency is recorded in the JSON
+  (``simulated_client_latency_s``) so the number is never mistaken for a
+  single-core compute speedup.  A pure compute-bound variant (no latency)
+  is recorded for the thread backend as context without a floor, and for
+  the ``"process"`` backend (a localhost fleet of ``repro-worker``
+  subprocesses) with a >= 1.5x floor that is enforced whenever the host
+  has more than one core (``cpu_count`` is recorded in the JSON; on a
+  single-core host the subprocesses cannot beat sequential and the floor
+  is reported as skipped).  The thread and process float64 buffers are
+  verified **bit-identical** to the sequential one before any timing is
+  trusted.
 * ``collect_gradients_sampled`` — the same collect stage under partial
   participation (a 20% cohort via ``rows=``): a sampled round must be
   measurably cheaper than a full round (>= 2x floor), because collect cost
   scales with the cohort, not the population.  Non-contiguous subsets are
-  first verified **bit-identical** across all three backends.
+  first verified **bit-identical** across the sequential, thread and
+  process backends.
 * ``collect_gradients_cpu_bound/distributed2`` — the **distributed**
   backend (:class:`repro.fl.transport.DistributedCollector`) over a
-  two-worker localhost ``repro-worker`` fleet (real subprocesses), on the
-  same compute-bound workload.  Recorded as context without a floor (the
-  point of the backend is multi-*host* scale, which localhost cannot
-  demonstrate); the JSON records ``bytes_per_round`` on the wire and
-  ``cpu_count``.  Before any timing, full **and** sampled distributed
-  collects are verified bit-identical to the sequential path over an
-  in-process fleet.
+  caller-managed two-worker localhost ``repro-worker`` fleet (real
+  subprocesses), on the same compute-bound workload.  Recorded as context
+  without a floor (the point of the backend is multi-*host* scale, which
+  localhost cannot demonstrate); the JSON records ``bytes_per_round`` on
+  the wire and ``cpu_count``.  The thread and process backends are the
+  same engine, so their equivalence guards cover it.
 * ``collect_gradients_wire_codec/<codec>`` — one row per registered
   gradient wire codec (``raw``, ``sign1bit``, ``int8``, ``fp16``,
   ``topk``): the same distributed collect with the codec negotiated,
@@ -69,9 +70,13 @@ Every bench row additionally records ``peak_rss_bytes``, the process
 high-water-mark RSS at measurement time (stamped by ``run_benchmark``).
 
 The script **fails loudly** (non-zero exit) when an optimized path stops
-using the cache (detected via ``GradientBatch.compute_counts``), when the
-threaded collect stops matching the sequential collect bit-for-bit, or when
+using the cache (detected via ``GradientBatch.compute_counts``), when a
+parallel collect stops matching the sequential collect bit-for-bit, or when
 a speedup regresses below its floor.
+
+BLAS and OpenMP are pinned to one thread per process before numpy loads
+(fleet subprocesses inherit the pins), as in the end-to-end bench: on a
+small host, multi-threaded BLAS makes the n=50 timings noisy and slow.
 
 Usage::
 
@@ -87,7 +92,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+THREAD_PINS = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+os.environ.update(THREAD_PINS)
+
+import numpy as np  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -101,11 +113,7 @@ from repro.clustering import MeanShift  # noqa: E402
 from repro.core.pipeline import SignGuardPipeline  # noqa: E402
 from repro.data.factory import build_dataset  # noqa: E402
 from repro.fl.client import BenignClient  # noqa: E402
-from repro.fl import (  # noqa: E402
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-)
+from repro.fl import SequentialCollector, make_collector  # noqa: E402
 from repro.fl.transport import (  # noqa: E402
     DistributedCollector,
     spawn_local_fleet,
@@ -173,7 +181,7 @@ class LatencyClient(BenignClient):
 
     A deployed federation pays a network round-trip per client; the
     ``time.sleep`` stand-in releases the GIL exactly like socket I/O would,
-    so the thread pool overlaps the waits the same way it would overlap real
+    so the thread fleet overlaps the waits the same way it would overlap real
     latency.  ``latency_s=0`` gives the pure compute-bound case.
     """
 
@@ -229,77 +237,57 @@ def make_collect_population(
     return clients, model, buffer
 
 
+#: (label, make_collector overrides) of the parallel backends the
+#: equivalence guards check against the sequential path.
+PARALLEL_BACKENDS = (
+    ("threaded", {"backend": "thread", "n_workers": 4}),
+    ("process", {"backend": "process", "n_workers": 2}),
+)
+
+
 def check_collect_equivalence(n_clients: int) -> None:
-    """Threaded and process float64 collect must be bit-identical to
-    sequential (same per-client RNG streams, fixed before dispatch)."""
-    clients_a, model, buffer_a = make_collect_population(n_clients, latency_s=0.0)
-    clients_b, _, buffer_b = make_collect_population(n_clients, latency_s=0.0)
-    clients_c, _, buffer_c = make_collect_population(n_clients, latency_s=0.0)
-    SequentialCollector().collect(clients_a, model, buffer_a)
-    with ParallelCollector(4) as collector:
-        collector.collect(clients_b, model, buffer_b)
-    _require(
-        bool(np.array_equal(buffer_a, buffer_b)),
-        "threaded float64 collect is not bit-identical to the sequential path",
+    """Thread and process float64 collects must be bit-identical to
+    sequential (same per-client RNG streams, fixed before dispatch) and a
+    healthy localhost fleet must report no failed rows."""
+    clients, model, reference = make_collect_population(
+        n_clients, latency_s=0.0, plain_clients=True
     )
-    with ProcessCollector(2) as collector:
-        collector.collect(clients_c, model, buffer_c)
-    _require(
-        bool(np.array_equal(buffer_a, buffer_c)),
-        "process float64 collect is not bit-identical to the sequential path",
-    )
+    SequentialCollector().collect(clients, model, reference)
+    for label, options in PARALLEL_BACKENDS:
+        clients, _, buffer = make_collect_population(
+            n_clients, latency_s=0.0, plain_clients=True
+        )
+        with make_collector(**options) as collector:
+            collector.collect(clients, model, buffer)
+            failed_rows = collector.failed_rows
+        _require(
+            bool(np.array_equal(reference, buffer)),
+            f"{label} float64 collect is not bit-identical to the sequential path",
+        )
+        _require(failed_rows == (), f"healthy {label} fleet reported failed rows")
 
 
 def check_sampled_collect_equivalence(n_clients: int) -> None:
     """A non-contiguous participation subset must be bit-identical across
-    all three backends (round-1 rows also match a full collect's rows)."""
+    the sequential and parallel backends (round-1 rows also match a full
+    collect's rows)."""
     rows = list(range(1, n_clients, 3))
-    clients_full, model, buffer_full = make_collect_population(n_clients, latency_s=0.0)
+    clients_full, model, buffer_full = make_collect_population(
+        n_clients, latency_s=0.0, plain_clients=True
+    )
     SequentialCollector().collect(clients_full, model, buffer_full)
     reference = buffer_full[rows]
-    for label, make_collector in (
-        ("sequential", SequentialCollector),
-        ("threaded", lambda: ParallelCollector(4)),
-        ("process", lambda: ProcessCollector(2)),
-    ):
-        clients, _, _ = make_collect_population(n_clients, latency_s=0.0)
+    backends = (("sequential", {"backend": "sequential"}), *PARALLEL_BACKENDS)
+    for label, options in backends:
+        clients, _, _ = make_collect_population(
+            n_clients, latency_s=0.0, plain_clients=True
+        )
         subset = np.empty((len(rows), model.num_parameters()))
-        with make_collector() as collector:
+        with make_collector(**options) as collector:
             collector.collect(clients, model, subset, rows=rows)
         _require(
             bool(np.array_equal(reference, subset)),
             f"{label} sampled collect is not bit-identical to the "
-            "sequential full collect's sampled rows",
-        )
-
-
-def check_distributed_collect_equivalence(n_clients: int) -> None:
-    """Full and sampled distributed collects must be bit-identical to the
-    sequential path (client RNG streams live in the owning worker)."""
-    clients_ref, model, buffer_ref = make_collect_population(n_clients, latency_s=0.0)
-    SequentialCollector().collect(clients_ref, model, buffer_ref)
-    rows = list(range(1, n_clients, 3))
-    with start_thread_fleet(2) as fleet:
-        clients, _, buffer = make_collect_population(n_clients, latency_s=0.0)
-        with DistributedCollector(fleet.addresses) as collector:
-            collector.collect(clients, model, buffer)
-            _require(
-                bool(np.array_equal(buffer_ref, buffer)),
-                "distributed float64 collect is not bit-identical to the "
-                "sequential path",
-            )
-            _require(
-                collector.failed_rows == (),
-                "healthy localhost fleet reported failed rows",
-            )
-    with start_thread_fleet(3) as fleet:
-        clients, _, _ = make_collect_population(n_clients, latency_s=0.0)
-        subset = np.empty((len(rows), model.num_parameters()))
-        with DistributedCollector(fleet.addresses) as collector:
-            collector.collect(clients, model, subset, rows=rows)
-        _require(
-            bool(np.array_equal(buffer_ref[rows], subset)),
-            "distributed sampled collect is not bit-identical to the "
             "sequential full collect's sampled rows",
         )
 
@@ -466,22 +454,17 @@ def main(argv=None) -> int:
     )
 
     # ------------------------------------------------------------------
-    # Collect stage: sequential loop vs 4-worker thread pool at n=100
+    # Collect stage: sequential loop vs 4-worker thread fleet at n=100
     # ------------------------------------------------------------------
     check_collect_equivalence(16)
     print(
         "collect equivalence: OK "
-        "(threaded + process float64 bit-identical to sequential)"
+        "(thread + process float64 bit-identical to sequential)"
     )
     check_sampled_collect_equivalence(16)
     print(
         "sampled collect equivalence: OK "
         "(non-contiguous subsets bit-identical across all three backends)"
-    )
-    check_distributed_collect_equivalence(16)
-    print(
-        "distributed collect equivalence: OK "
-        "(localhost fleet bit-identical to sequential, full + sampled)"
     )
 
     clients, collect_model, collect_buffer = make_collect_population(
@@ -493,7 +476,7 @@ def main(argv=None) -> int:
         name="collect_gradients/sequential",
         repeats=repeats,
     )
-    parallel_collector = ParallelCollector(collect_workers)
+    parallel_collector = make_collector(backend="thread", n_workers=collect_workers)
     threaded_collect = run_benchmark(
         lambda: parallel_collector.collect(clients, collect_model, collect_buffer),
         name=f"collect_gradients/threaded{collect_workers}",
@@ -548,7 +531,7 @@ def main(argv=None) -> int:
         name="collect_gradients_cpu_bound/sequential",
         repeats=repeats,
     )
-    with ParallelCollector(collect_workers) as cpu_parallel:
+    with make_collector(backend="thread", n_workers=collect_workers) as cpu_parallel:
         cpu_threaded = run_benchmark(
             lambda: cpu_parallel.collect(cpu_clients, cpu_model, cpu_buffer),
             name=f"collect_gradients_cpu_bound/threaded{collect_workers}",
@@ -566,9 +549,11 @@ def main(argv=None) -> int:
     cpu_count = os.cpu_count() or 1
     enforce_process_floor = cpu_count >= 2
     proc_clients, proc_model, proc_buffer = make_collect_population(
-        collect_clients, latency_s=0.0
+        collect_clients, latency_s=0.0, plain_clients=True
     )
-    with ProcessCollector(collect_workers) as process_collector:
+    with make_collector(
+        backend="process", n_workers=collect_workers
+    ) as process_collector:
         process_collect = run_benchmark(
             lambda: process_collector.collect(proc_clients, proc_model, proc_buffer),
             name=f"collect_gradients_cpu_bound/process{collect_workers}",

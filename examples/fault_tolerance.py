@@ -14,10 +14,10 @@ This example demonstrates three properties, all on one machine:
    a thread-fleet worker mid-run; the collector re-dispatches the dead
    worker's clients to the survivors and the run stays *bit-identical*
    to a healthy sequential run — zero dropouts.
-2. **Quorum policies.**  On the in-process thread backend (no survivors
-   to re-dispatch to within a pool), the same fault degrades the round
-   to dropouts; `min_cohort_fraction` decides whether the degraded round
-   is accepted, retried, or aborts the run.
+2. **Quorum policies.**  Sampled clients that drop out before computing
+   (the participation ``dropout_rate``) shrink a round's cohort;
+   `min_cohort_fraction` decides whether a round left below quorum is
+   accepted, retried, or aborts the run.
 3. **Kill and resume.**  A run checkpointing every 2 rounds is killed by
    an unrecoverable outage; resuming from the snapshot reproduces the
    uninterrupted baseline exactly.
@@ -82,28 +82,30 @@ def chaos_with_redispatch() -> None:
 
 
 def quorum_policies() -> None:
-    print("\n=== 2. Quorum policies on a degraded collect pool ===")
+    print("\n=== 2. Quorum policies on rounds short of their cohort ===")
 
     def run_with_policy(on_quorum_loss: str):
-        # Thread-pool worker 1 (owning half the 16 clients) crashes on
-        # its 3rd round; in-process pools have no re-dispatch, so those
-        # clients degrade to dropouts and the cohort falls to 50% —
-        # below the 75% quorum.  The policy decides the round's fate.
+        # Each round, every client of the 16-client cohort drops out with
+        # probability 0.2 before computing.  A round with 5 or more
+        # dropouts keeps fewer than 75% of its cohort — below quorum —
+        # and the policy decides its fate.  (A crashed fleet worker would
+        # not do: its shard is re-dispatched to the survivor.)
         config = make_config(
             collect_backend="thread",
             n_workers=2,
+            dropout_rate=0.2,
             min_cohort_fraction=0.75,
             on_quorum_loss=on_quorum_loss,
         )
-        chaos = FaultSchedule.from_args(["crash@3"], worker=1)
-        return run_experiment(config, fault_schedule=chaos)
+        return run_experiment(config)
 
     accepted = run_with_policy("accept")
     degraded = [r.round_index for r in accepted if not r.quorum_met]
     print(f"  accept: run finished; degraded rounds: {degraded}")
+    assert degraded
 
-    # A quorum retry re-collects the same plan; the one-shot fault is
-    # already consumed, so the second attempt succeeds.
+    # A quorum retry redraws the round's plan, so the redrawn cohort meets
+    # quorum within the retry budget.
     retried = run_with_policy("retry")
     print(f"  retry:  per-round retries: {[r.num_retries for r in retried]}")
     assert all(r.quorum_met for r in retried)
@@ -112,6 +114,8 @@ def quorum_policies() -> None:
         run_with_policy("abort")
     except QuorumLossError as error:
         print(f"  abort:  run stopped — {error}")
+    else:
+        raise AssertionError("abort policy did not stop the run")
 
 
 def kill_and_resume() -> None:

@@ -19,8 +19,6 @@ from repro.fl.collector import (
     COLLECT_BACKENDS,
     COLLECTOR_REGISTRY,
     GradientCollector,
-    ParallelCollector,
-    ProcessCollector,
     SequentialCollector,
     build_collector,
     make_collector,
@@ -52,6 +50,7 @@ from repro.fl.experiment import run_experiment, run_grid
 #: the same reason).
 _TRANSPORT_EXPORTS = {
     "DistributedCollector": "repro.fl.transport.collector",
+    "LocalFleetCollector": "repro.fl.transport.collector",
     "GradientCodec": "repro.fl.transport.codec",
     "CodecError": "repro.fl.transport.codec",
     "build_codec": "repro.fl.transport.codec",
@@ -77,9 +76,8 @@ __all__ = [
     "build_clients",
     "GradientCollector",
     "SequentialCollector",
-    "ParallelCollector",
-    "ProcessCollector",
     "DistributedCollector",
+    "LocalFleetCollector",
     "build_collector",
     "make_collector",
     "COLLECT_BACKENDS",

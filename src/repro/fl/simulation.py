@@ -74,20 +74,22 @@ class FederatedSimulation:
             over the configured backend, which is bit-identical to the
             sequential path (see :mod:`repro.fl.collector`).  Ignored when
             ``collector`` is given.
-        collect_backend: collect strategy — ``"thread"`` (default),
-            ``"process"`` (shared-memory worker processes, for GIL-bound
-            compute), ``"distributed"`` (a TCP fleet of ``repro-worker``
-            hosts given by ``workers``), or ``"sequential"`` (force the
-            seed loop).  Ignored when ``collector`` is given.
+        collect_backend: collect strategy — ``"thread"`` (default, a
+            localhost fleet of worker threads), ``"process"`` (a localhost
+            fleet of ``repro-worker`` subprocesses, for GIL-bound compute),
+            ``"distributed"`` (a TCP fleet of ``repro-worker`` hosts given
+            by ``workers``), or ``"sequential"`` (force the seed loop).
+            Ignored when ``collector`` is given.
         workers: ``host:port`` specs of the ``repro-worker`` fleet for the
-            distributed backend (ignored otherwise).  A worker that dies
-            or times out mid-round walks the recovery ladder (reconnect →
-            re-dispatch to survivors → demote its clients to dropouts in
-            the round's plan) instead of crashing the run.
-        connect_timeout: distributed backend only — socket timeout for
-            worker connect/handshake.
-        round_timeout: distributed backend only — deadline for a worker's
-            round reply (``None`` waits forever).
+            distributed backend (ignored otherwise).  On every fleet
+            backend, a worker that dies or times out mid-round walks the
+            recovery ladder (reconnect → re-dispatch to survivors → demote
+            its clients to dropouts in the round's plan) instead of
+            crashing the run.
+        connect_timeout: fleet backends only — socket timeout for worker
+            connect/handshake.
+        round_timeout: fleet backends only — deadline for a worker's round
+            reply (``None`` waits forever).
         wire_codec: distributed backend only — the gradient wire codec its
             shard frames travel in (``"raw"`` default; see
             :mod:`repro.fl.transport.codec`).  A stateful codec's
@@ -96,7 +98,7 @@ class FederatedSimulation:
             deterministic injected faults, honoured by every backend
             (ignored when ``collector`` is given — configure the collector
             directly).
-        redispatch: distributed backend only — when True (default), a dead
+        redispatch: fleet backends only — when True (default), a dead
             worker's rows are recomputed by surviving workers before any
             dropout demotion.
         min_cohort_fraction: quorum threshold — the round must end with at
@@ -268,7 +270,7 @@ class FederatedSimulation:
 
         Returns ``(buffer, plan, stats)``.  The returned plan differs from
         the argument only when the collector reported rows it could not
-        obtain (a distributed worker died or timed out and re-dispatch
+        obtain (a fleet worker died or timed out and re-dispatch
         could not recover the rows): those clients are demoted to
         dropouts, their NaN rows are compacted out of the buffer, and the
         round continues with the survivors.  ``stats`` carries the
@@ -458,9 +460,9 @@ class FederatedSimulation:
 
         The snapshot is decoupled from the live run (arrays copied, RNG
         states captured by value), so continuing to train does not mutate
-        it.  For backends whose client batch-sampler streams live in
-        worker processes, the workers' last reported states override the
-        caller's (stale) client objects.
+        it.  For the fleet backends, whose client batch-sampler streams
+        live in the workers, the workers' last reported states override
+        the caller's (stale) client objects.
 
         Args:
             config: an ``ExperimentConfig.to_dict()`` echo stored in the
@@ -588,7 +590,7 @@ class FederatedSimulation:
         return self.recorder
 
     def close(self) -> None:
-        """Release the collector's worker threads (idempotent)."""
+        """Release the collector's workers (idempotent)."""
         self.collector.close()
 
 

@@ -10,7 +10,9 @@ model signature check, codec negotiation, and heartbeats
 (:mod:`~repro.fl.transport.protocol`),
 the ``repro-worker`` server (:mod:`~repro.fl.transport.worker`), and the
 :class:`DistributedCollector` backend that drives a fleet of workers
-(``TrainingConfig(collect_backend="distributed", workers=[...])``).
+(``TrainingConfig(collect_backend="distributed", workers=[...])``) —
+also over a localhost fleet it owns, as :class:`LocalFleetCollector`
+(the ``"thread"`` and ``"process"`` backends).
 
 A healthy localhost fleet is bit-identical to the sequential backend at
 any worker count; a worker that dies or times out mid-round degrades to
@@ -32,7 +34,7 @@ from repro.fl.transport.codec import (
     model_signature,
     wire_codec_names,
 )
-from repro.fl.transport.collector import DistributedCollector
+from repro.fl.transport.collector import DistributedCollector, LocalFleetCollector
 from repro.fl.transport.fleet import (
     LocalFleet,
     ThreadFleet,
@@ -56,6 +58,7 @@ from repro.fl.transport.worker import WorkerServer
 
 __all__ = [
     "DistributedCollector",
+    "LocalFleetCollector",
     "WorkerConnection",
     "WorkerServer",
     "LocalFleet",

@@ -1,11 +1,12 @@
-"""The distributed collect backend: a fleet of ``repro-worker`` servers.
+"""The fleet collect engine: a fleet of ``repro-worker`` servers.
 
-:class:`DistributedCollector` is the fourth
-:class:`~repro.fl.collector.GradientCollector` backend
-(``TrainingConfig(collect_backend="distributed", workers=[...])``).  It
-takes the same contract the in-process backends satisfy — fill a
-preallocated round buffer with the selected clients' gradients,
-bit-identically to the sequential loop — across TCP:
+:class:`DistributedCollector` is the one parallel
+:class:`~repro.fl.collector.GradientCollector` engine
+(``TrainingConfig(collect_backend="distributed", workers=[...])``), and
+:class:`LocalFleetCollector` runs it over a localhost fleet it owns (the
+``"thread"`` and ``"process"`` backends).  It takes the sequential loop's
+contract — fill a preallocated round buffer with the selected clients'
+gradients, bit-identically to the sequential loop — across TCP:
 
 * the client population is chunked **contiguously** over the workers
   (``np.array_split``), so each worker's rows occupy one contiguous slice
@@ -22,8 +23,8 @@ bit-identically to the sequential loop — across TCP:
   onto the global model in ascending client order — the plan order every
   backend shares.
 
-Failure semantics — the part that differs from the in-process backends:
-a worker that dies, times out, or refuses mid-round does **not** raise.
+Failure semantics — the part that differs from the sequential backend: a
+worker that dies, times out, or refuses mid-round does **not** raise.
 The collector climbs a recovery ladder instead:
 
 1. **retry** — connects go through
@@ -63,6 +64,7 @@ exercises the same ladder from the other end.)
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +79,13 @@ from repro.fl.collector import (
 )
 from repro.fl.faults import FaultSchedule
 from repro.fl.transport.client import WorkerConnection, parse_address
-from repro.fl.transport.codec import CodecError, build_codec, encode_state_dict
+from repro.fl.transport.codec import (
+    CodecError,
+    build_codec,
+    encode_state_dict,
+    model_signature,
+)
+from repro.fl.transport.fleet import spawn_local_fleet, start_thread_fleet
 from repro.fl.transport.framing import DEFAULT_MAX_FRAME_BYTES, FrameError
 from repro.fl.transport.protocol import HandshakeError, TransportError
 from repro.nn.module import Module
@@ -521,3 +529,102 @@ class DistributedCollector(GradientCollector):
         self._rng_states = {}
         self._codec_states = {}
         self._needs_setup = [True] * self.n_workers
+
+
+#: Local fleet kind → the helper that starts ``n_workers`` localhost
+#: workers: in-process worker threads, or ``repro-worker`` subprocesses.
+LOCAL_FLEETS = {"thread": start_thread_fleet, "process": spawn_local_fleet}
+
+
+class LocalFleetCollector(GradientCollector):
+    """A :class:`DistributedCollector` over a localhost fleet it owns.
+
+    This is the ``"thread"`` and ``"process"`` collect backend: ``kind``
+    picks :func:`~repro.fl.transport.fleet.start_thread_fleet` or
+    :func:`~repro.fl.transport.fleet.spawn_local_fleet`, and ``options``
+    are :class:`DistributedCollector` keyword arguments.  Bit-identity,
+    BatchNorm replay, fault injection and the recovery ladder are the
+    distributed backend's; this wrapper only owns the fleet's lifetime:
+
+    * the fleet starts at the first :meth:`collect`, :meth:`close` stops
+      it, and the next :meth:`collect` starts a fresh one (after a close,
+      the caller's client objects are authoritative again, exactly as for
+      :meth:`DistributedCollector.close`);
+    * a model of another architecture (parameter names, shapes or dtype)
+      also gets a fresh fleet: a standing worker refuses it;
+    * :attr:`worker_timings` label workers by their index in the fleet, not
+      by their ephemeral loopback address, so profiler stages stay
+      ``collect_worker_0`` … ``collect_worker_<n_workers - 1>``.
+    """
+
+    def __init__(self, kind: str, n_workers: int, **options) -> None:
+        if kind not in LOCAL_FLEETS:
+            raise ValueError(
+                f"local fleet kind must be one of {tuple(LOCAL_FLEETS)}, "
+                f"got {kind!r}"
+            )
+        if n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        super().__init__(fault_schedule=options.get("fault_schedule"))
+        self.kind = kind
+        self.n_workers = int(n_workers)
+        self._options = options
+        #: The running fleet (``None`` until the first collect and after
+        #: :meth:`close`).
+        self.fleet = None
+        self._collector: Optional[DistributedCollector] = None
+        self._signature: Optional[str] = None
+
+    def collect(
+        self,
+        clients: Sequence[FederatedClient],
+        model: Module,
+        out: np.ndarray,
+        rows: Optional[Sequence[int]] = None,
+        *,
+        apply_batch_stats: bool = True,
+    ) -> np.ndarray:
+        signature = model_signature(model)
+        if signature != self._signature:
+            self.close()
+            self._signature = signature
+        if self._collector is None:
+            self.fleet = LOCAL_FLEETS[self.kind](self.n_workers)
+            # Stops the workers at garbage collection or interpreter exit
+            # should the caller never close this collector.
+            self._stop_fleet = weakref.finalize(self, self.fleet.terminate)
+            self._collector = DistributedCollector(
+                self.fleet.addresses, **self._options
+            )
+            # The fault clock counts this collector's passes across fleet
+            # restarts, like any other backend's.
+            self._collector._fault_rounds = self._fault_rounds
+        collector = self._collector
+        try:
+            return collector.collect(
+                clients, model, out, rows, apply_batch_stats=apply_batch_stats
+            )
+        finally:
+            labels = {address: i for i, address in enumerate(self.fleet.addresses)}
+            self.worker_timings = [
+                (labels[address], seconds, count)
+                for address, seconds, count in collector.worker_timings
+            ]
+            self.failed_rows = collector.failed_rows
+            self.last_round_bytes = collector.last_round_bytes
+            self.last_round_redispatched = collector.last_round_redispatched
+            self.last_round_reconnects = collector.last_round_reconnects
+            self._fault_rounds = collector._fault_rounds
+
+    def client_rng_states(self) -> Dict[int, dict]:
+        if self._collector is None:
+            return {}
+        return self._collector.client_rng_states()
+
+    def close(self) -> None:
+        if self._collector is not None:
+            self._collector.close()
+            self._collector = None
+        if self.fleet is not None:
+            self._stop_fleet()
+            self.fleet = None

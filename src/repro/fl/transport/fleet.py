@@ -46,7 +46,9 @@ class WorkerProcess:
         """The last ``limit`` characters the worker wrote to stderr."""
         return _stderr_tail(self._stderr_file, limit)
 
-    def _close_stderr(self) -> None:
+    def _close_files(self) -> None:
+        if self.process.stdout is not None:
+            self.process.stdout.close()
         if self._stderr_file is not None:
             try:
                 self._stderr_file.close()
@@ -58,7 +60,7 @@ class WorkerProcess:
         """Hard-kill the worker (simulates a host failure)."""
         self.process.kill()
         self.process.wait(timeout=10)
-        self._close_stderr()
+        self._close_files()
 
     def terminate(self) -> None:
         if self.process.poll() is None:
@@ -68,7 +70,7 @@ class WorkerProcess:
             except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                 self.process.kill()
                 self.process.wait(timeout=5)
-        self._close_stderr()
+        self._close_files()
 
 
 class LocalFleet:

@@ -4,9 +4,9 @@ A worker owns a chunk of the federation's client population (shipped once
 at setup, together with a model replica) and then serves rounds: each
 ``ROUND`` message carries the global model's encoded ``state_dict()`` and
 the sorted global client ids to compute this round; the worker loads the
-state, runs its clients through the *same sequential collect loop the
-in-process backends use* (so per-client RNG streams and BatchNorm
-statistics behave identically), and streams the gradient shard back as
+state, runs its clients one after the other *exactly as the sequential
+backend does* (so per-client RNG streams and BatchNorm statistics behave
+identically), and streams the gradient shard back as
 one raw frame followed by a trailer with losses, recorded batch
 statistics, post-round RNG states, and timing.
 
@@ -45,7 +45,7 @@ pickle-free.
 
 Fault injection: ``--fault KIND@ROUND[:SECONDS]`` (repeatable) attaches a
 :class:`~repro.fl.faults.FaultSchedule` to the worker — the one
-fault-injection API shared with the in-process backends.  ``crash``
+fault-injection API shared with the caller-side injection.  ``crash``
 hard-exits the process upon *receiving* its N-th lifetime ``ROUND``
 request (from the caller's side, a worker that died mid-round);
 ``stall`` sleeps SECONDS through it instead (a worker that times out);

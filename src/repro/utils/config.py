@@ -70,17 +70,20 @@ class TrainingConfig:
 
     ``n_workers`` sets the worker count of the collect stage (1 = the
     sequential seed behaviour) and ``collect_backend`` picks the strategy the
-    workers run on: ``"thread"`` (default — a
-    :class:`~repro.fl.collector.ParallelCollector`, best when clients wait on
-    dispatch latency or GIL-releasing BLAS), ``"process"`` (a
-    :class:`~repro.fl.collector.ProcessCollector` over shared memory —
-    recovers compute parallelism on GIL-bound hosts), ``"distributed"`` (a
-    :class:`~repro.fl.transport.collector.DistributedCollector` over the
-    TCP ``repro-worker`` fleet listed in ``workers``), or ``"sequential"``
-    (force the seed loop regardless of ``n_workers``).  Every backend is
-    bit-identical to the sequential path at any worker count; the
-    distributed backend additionally degrades a dead or timed-out worker
-    into :class:`~repro.fl.participation.RoundPlan` dropouts instead of
+    workers run on: ``"thread"`` (default — a localhost fleet of
+    ``n_workers`` worker threads, best when clients wait on dispatch
+    latency or GIL-releasing BLAS), ``"process"`` (a localhost fleet of
+    ``n_workers`` ``repro-worker`` subprocesses — compute parallelism on
+    GIL-bound hosts), ``"distributed"`` (the TCP ``repro-worker`` fleet
+    listed in ``workers``), or ``"sequential"`` (force the seed loop
+    regardless of ``n_workers``).  The three fleet backends are one engine,
+    a :class:`~repro.fl.transport.collector.DistributedCollector`; the
+    local ones own their fleet
+    (:class:`~repro.fl.transport.collector.LocalFleetCollector`).  Every
+    backend is bit-identical to the sequential path at any worker count,
+    and the fleet backends degrade a dead or timed-out worker through the
+    recovery ladder (retry, re-dispatch, then
+    :class:`~repro.fl.participation.RoundPlan` dropouts) instead of
     crashing the run.
 
     ``wire_codec`` picks the gradient wire codec of the distributed
@@ -88,8 +91,8 @@ class TrainingConfig:
     ``"raw"`` (default — lossless, the pre-codec wire format byte for
     byte), ``"sign1bit"``, ``"int8"``, ``"fp16"``, or ``"topk"``.  The
     non-raw codecs trade the collect contract's bit-exactness for a
-    16–64× smaller gradient frame; only ``"raw"`` is meaningful for the
-    in-process backends (which have no wire).
+    16–64× smaller gradient frame; the local ``"thread"``/``"process"``
+    fleets and the sequential backend take only ``"raw"``.
 
     ``participation`` selects which clients train each round (see
     :mod:`repro.fl.participation`): ``"full"`` (default — every client,
@@ -182,7 +185,7 @@ class TrainingConfig:
         if self.wire_codec != "raw" and self.collect_backend != "distributed":
             raise ValueError(
                 "wire_codec= is only meaningful with collect_backend="
-                "'distributed' — the in-process backends have no wire "
+                "'distributed' — the local fleets ship raw frames "
                 f"(got collect_backend={self.collect_backend!r})"
             )
         from repro.fl.participation import PARTICIPATION_SCHEDULES

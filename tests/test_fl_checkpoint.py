@@ -28,7 +28,8 @@ from repro.fl.checkpoint import (
     save_checkpoint,
 )
 from repro.fl.collector import SequentialCollector
-from repro.fl.faults import FaultSchedule, FaultSpec, FleetOutageError
+from repro.fl.faults import FaultSchedule, FleetOutageError
+from repro.fl.simulation import FederatedSimulation
 from repro.fl.transport import DistributedCollector, start_thread_fleet
 from repro.utils.serialization import arrays_to_blob
 from tests.test_fl_transport import PlannedSchedule, build_simulation, make_plan
@@ -351,7 +352,7 @@ class TestKillAndResume:
         assert resumed.to_dict() == baseline.to_dict()
         assert resumed.metadata["config"] == baseline.metadata["config"]
 
-    def test_process_backend_crash_resume_is_bit_identical(self, tmp_path):
+    def test_process_backend_crash_resume_is_bit_identical(self, tmp_path, monkeypatch):
         # The in-worker client RNG streams must survive the kill: they are
         # captured from the workers' round replies, not the parent's stale
         # client objects.
@@ -361,17 +362,23 @@ class TestKillAndResume:
         config.training.collect_backend = "process"
         baseline = run_experiment(config)
 
+        # The run is killed as round index 2 starts.  (An injected fleet
+        # fault cannot stop it: the local fleet re-dispatches the rows.)
+        class Killed(Exception):
+            pass
+
+        run_round = FederatedSimulation.run_round
+
+        def killed_at_round_2(simulation, round_index):
+            if round_index == 2:
+                raise Killed
+            return run_round(simulation, round_index)
+
         path = tmp_path / "run.ckpt"
-        outage = FaultSchedule(
-            [FaultSpec("crash", 3, worker=0), FaultSpec("crash", 3, worker=1)]
-        )
-        with pytest.raises(FleetOutageError):
-            run_experiment(
-                config,
-                fault_schedule=outage,
-                checkpoint_every=1,
-                checkpoint_path=path,
-            )
+        with monkeypatch.context() as patch:
+            patch.setattr(FederatedSimulation, "run_round", killed_at_round_2)
+            with pytest.raises(Killed):
+                run_experiment(config, checkpoint_every=1, checkpoint_path=path)
         resumed = run_experiment(config, resume_from=path)
         assert load_checkpoint(path).rounds_completed == 2
         assert resumed.to_dict() == baseline.to_dict()

@@ -9,19 +9,18 @@ exactly like the built-ins.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ExperimentConfig, TrainingConfig
 from repro.fl import (
     COLLECT_BACKENDS,
     COLLECTOR_REGISTRY,
-    ParallelCollector,
-    ProcessCollector,
     SequentialCollector,
     build_collector,
     make_collector,
 )
-from repro.fl.transport import DistributedCollector
+from repro.fl.transport import DistributedCollector, LocalFleetCollector
 
 
 class TestRegistry:
@@ -61,8 +60,8 @@ class TestBuildCollector:
 
     def test_thread(self):
         collector = build_collector(4, "thread")
-        assert isinstance(collector, ParallelCollector)
-        assert collector.n_workers == 4
+        assert isinstance(collector, LocalFleetCollector)
+        assert (collector.kind, collector.n_workers) == ("thread", 4)
 
     def test_single_worker_degrades_to_sequential(self):
         assert isinstance(build_collector(1, "thread"), SequentialCollector)
@@ -71,7 +70,8 @@ class TestBuildCollector:
     def test_process(self):
         collector = build_collector(2, "process")
         try:
-            assert isinstance(collector, ProcessCollector)
+            assert isinstance(collector, LocalFleetCollector)
+            assert (collector.kind, collector.n_workers) == ("process", 2)
         finally:
             collector.close()
 
@@ -87,6 +87,29 @@ class TestBuildCollector:
         assert collector.wire_codec == "sign1bit"
         assert all(conn.round_timeout is None for conn in collector._conns)
 
+    def test_local_fleets_get_the_distributed_recovery_options(self):
+        from repro.fl.faults import FaultSchedule
+        from tests.test_fl_parallel_collect import make_clients, make_model
+
+        schedule = FaultSchedule.from_args(["crash@9"])
+        collector = build_collector(
+            2,
+            "thread",
+            round_timeout=None,
+            redispatch=False,
+            fault_schedule=schedule,
+        )
+        clients, model = make_clients(4), make_model()
+        try:
+            collector.collect(clients, model, np.empty((4, model.num_parameters())))
+            engine = collector._collector
+            assert isinstance(engine, DistributedCollector)
+            assert engine.redispatch is False
+            assert engine.fault_schedule is schedule
+            assert all(conn.round_timeout is None for conn in engine._conns)
+        finally:
+            collector.close()
+
     def test_distributed_requires_workers(self):
         with pytest.raises(ValueError, match="requires workers"):
             build_collector(1, "distributed")
@@ -100,16 +123,16 @@ class TestMakeCollector:
     def test_from_training_config(self):
         config = TrainingConfig(collect_backend="thread", n_workers=3)
         collector = make_collector(config)
-        assert isinstance(collector, ParallelCollector)
-        assert collector.n_workers == 3
+        assert isinstance(collector, LocalFleetCollector)
+        assert (collector.kind, collector.n_workers) == ("thread", 3)
 
     def test_from_experiment_config(self):
         config = ExperimentConfig(
             training=TrainingConfig(collect_backend="thread", n_workers=2)
         )
         collector = make_collector(config)
-        assert isinstance(collector, ParallelCollector)
-        assert collector.n_workers == 2
+        assert isinstance(collector, LocalFleetCollector)
+        assert (collector.kind, collector.n_workers) == ("thread", 2)
 
     def test_config_wire_codec_flows_through(self):
         config = TrainingConfig(

@@ -5,10 +5,11 @@ The contracts under test:
 * :class:`FaultSpec` / :class:`FaultSchedule` are pure declarative data —
   parse/format round-trips, seeded :meth:`FaultSchedule.random` draws are
   reproducible, per-worker slicing re-keys correctly;
-* every in-process collect backend honours an injected fault by skipping
+* every collect backend honours a caller-side injected fault by skipping
   the faulted worker's rows (RNG streams untouched, rows NaN, ids in
-  ``failed_rows``) so a faulted run is **bit-identical** to a clean run
-  with the same clients planned as dropouts;
+  ``failed_rows``) — on the local fleets with re-dispatch off, the demote
+  rung of the recovery ladder — so a faulted run is **bit-identical** to a
+  clean run with the same clients planned as dropouts;
 * the simulation maps a total failure to :class:`FleetOutageError` and a
   sub-quorum round to the configured ``on_quorum_loss`` policy;
 * the distributed backend walks the full recovery ladder: a crashed
@@ -23,11 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.fl.collector import (
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-)
+from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.faults import (
     FAULT_KINDS,
     FaultSchedule,
@@ -159,7 +156,7 @@ class TestFaultSchedule:
 
 
 # ---------------------------------------------------------------------------
-# in-process backend injection
+# caller-side injection: sequential and local-fleet backends
 # ---------------------------------------------------------------------------
 
 
@@ -192,11 +189,14 @@ class TestInProcessInjection:
         assert collector.failed_rows == ()
         assert np.isfinite(out).all()
 
-    def test_thread_fault_maps_buffer_positions_to_worker(self):
+    def test_local_fleet_fault_fails_the_workers_contiguous_shard(self):
         clients = make_clients(6)
         model = make_model()
-        collector = ParallelCollector(
-            3, fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)])
+        collector = make_collector(
+            backend="thread",
+            n_workers=3,
+            fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)]),
+            redispatch=False,
         )
         try:
             collector.collect(
@@ -206,46 +206,34 @@ class TestInProcessInjection:
             collector.collect(clients, model, out)
         finally:
             collector.close()
-        # Buffer positions 1 and 4 belong to worker 1 of 3.
-        assert collector.failed_rows == (1, 4)
-        assert np.isnan(out[[1, 4]]).all()
-        assert np.isfinite(out[[0, 2, 3, 5]]).all()
-
-    def test_process_fault_maps_client_ids_to_worker(self):
-        clients = make_clients(6)
-        model = make_model()
-        collector = ProcessCollector(
-            2, fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)])
-        )
-        try:
-            collector.collect(
-                clients, model, np.empty((6, model.num_parameters()))
-            )
-            out = np.empty((6, model.num_parameters()))
-            collector.collect(clients, model, out)
-            # Client ids 1, 3, 5 live on worker 1 of 2.
-            assert collector.failed_rows == (1, 3, 5)
-            assert np.isnan(out[[1, 3, 5]]).all()
-            assert np.isfinite(out[[0, 2, 4]]).all()
-        finally:
-            collector.close()
+        # The population is split contiguously: clients 2 and 3 live on
+        # worker 1 of 3.
+        assert collector.failed_rows == (2, 3)
+        assert np.isnan(out[[2, 3]]).all()
+        assert np.isfinite(out[[0, 1, 4, 5]]).all()
 
     @pytest.mark.parametrize(
-        "make_collector, failed_ids",
+        "make_faulted_collector, failed_ids",
         [
-            # thread: buffer position % 3 == 1 -> clients 1, 4, 7
+            # thread: worker 1 of 3 holds the contiguous chunk 3-5
             (
-                lambda s: ParallelCollector(3, fault_schedule=s),
-                [1, 4, 7],
+                lambda s: make_collector(
+                    backend="thread", n_workers=3, fault_schedule=s, redispatch=False
+                ),
+                [3, 4, 5],
             ),
-            # process: client id % 2 == 1 -> clients 1, 3, 5, 7
+            # process: worker 1 of 2 holds the contiguous chunk 4-7
             (
-                lambda s: ProcessCollector(2, fault_schedule=s),
-                [1, 3, 5, 7],
+                lambda s: make_collector(
+                    backend="process", n_workers=2, fault_schedule=s, redispatch=False
+                ),
+                [4, 5, 6, 7],
             ),
         ],
     )
-    def test_faulted_round_equals_planned_dropouts(self, make_collector, failed_ids):
+    def test_faulted_round_equals_planned_dropouts(
+        self, make_faulted_collector, failed_ids
+    ):
         # The acceptance contract: a fault-injected run is bit-identical to
         # a clean sequential run whose participation plan declares the same
         # clients as dropouts (faulted clients never advance their RNG).
@@ -253,7 +241,7 @@ class TestInProcessInjection:
         schedule = FaultSchedule(
             [FaultSpec("crash", fault_round, worker=1)]
         )
-        faulted = build_simulation(make_collector(schedule))
+        faulted = build_simulation(make_faulted_collector(schedule))
         try:
             faulted_records = [faulted.run_round(i) for i in range(rounds)]
         finally:
@@ -288,9 +276,17 @@ class TestInProcessInjection:
 # ---------------------------------------------------------------------------
 
 
-def faulted_thread_collector(fault_round=2, worker=1):
-    return ParallelCollector(
-        2, fault_schedule=FaultSchedule([FaultSpec("crash", fault_round, worker)])
+def faulted_thread_collector(schedule=None):
+    """A 2-worker thread fleet whose worker 1 faults on the 2nd pass.
+
+    Re-dispatch is off so the fault reaches the demote rung (with it on,
+    the survivor would recover the rows and quorum would never be lost).
+    """
+    return make_collector(
+        backend="thread",
+        n_workers=2,
+        fault_schedule=schedule or FaultSchedule([FaultSpec("crash", 2, 1)]),
+        redispatch=False,
     )
 
 
@@ -341,9 +337,7 @@ class TestQuorumPolicies:
         schedule = FaultSchedule(
             [FaultSpec("crash", occurrence, worker=1) for occurrence in (1, 2, 3)]
         )
-        simulation = build_simulation(
-            ParallelCollector(2, fault_schedule=schedule)
-        )
+        simulation = build_simulation(faulted_thread_collector(schedule))
         simulation.min_cohort_fraction = 0.9
         simulation.on_quorum_loss = "retry"
         simulation.quorum_retries = 1

@@ -1,15 +1,24 @@
-"""Tests for the parallel collect stage (repro.fl.collector).
+"""Tests for the parallel collect backends, ``"thread"`` and ``"process"``.
 
-The contract under test: the threaded collector is *bit-identical* to the
-sequential one at float64 (the per-client RNG streams are fixed before
-dispatch, so scheduling cannot change results), equivalent within tolerance
-at float32, robust across worker-count edge cases, propagates client
-exceptions, NaN-invalidates the reused round buffer so stale rows cannot
-leak, and replays BatchNorm running-statistics updates onto the global model
-so evaluation metrics match the sequential path exactly.
+Both are a :class:`~repro.fl.transport.DistributedCollector` over a
+localhost fleet the collector owns
+(:class:`~repro.fl.transport.LocalFleetCollector`): ``repro-worker``
+servers on threads of this interpreter, or in subprocesses.  The contract
+under test, for both fleet kinds: collects are *bit-identical* to the
+sequential path (float64, float32, non-contiguous ``rows=`` subsets,
+successive rounds, BatchNorm buffers and evaluation); client exceptions
+propagate and the reused round buffer is NaN-invalidated so stale rows
+cannot leak; models with RNG-consuming layers are refused; worker timings
+keep integer labels; ``close()`` stops the fleet and the next collect
+starts a fresh one; a killed worker's rows walk the recovery ladder.
 
-(The process-pool backend shares these contracts; its tests live in
-``test_fl_process_collect.py``.)
+Process-kind cases are kept to those that need a process boundary: a
+fleet spawn costs seconds, and spawned interpreters can import only
+``repro``'s own classes — so their BatchNorm case runs ``resnet_lite``
+and test-local client classes run on the thread kind only.
+
+The population/model helpers here are shared with the transport, fault
+and participation suites.
 """
 
 from __future__ import annotations
@@ -20,20 +29,21 @@ import pytest
 from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
 from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
-from repro.fl.collector import (
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-    build_collector,
-    default_worker_count,
-)
+from repro.fl.collector import SequentialCollector, build_collector, make_collector
 from repro.fl.experiment import run_experiment
 from repro.fl.metrics import evaluate_model
+from repro.fl.transport import LocalFleetCollector
+from repro.fl.transport import collector as transport_collector
 from repro.nn.activations import ReLU
 from repro.nn.layers import BatchNorm1d, Flatten, Linear, Sequential
+from repro.nn.models.factory import build_model
 from repro.nn.models.mlp import MLP
 from repro.nn.module import Module
+from repro.perf.profiler import RoundProfiler
 from repro.utils.rng import RngFactory
+
+#: (kind, n_workers) of every fleet the bit-identity matrix runs on.
+FLEETS = [("thread", 2), ("thread", 3), ("process", 2), ("process", 3)]
 
 
 def make_clients(n_clients, *, num_train=200, batch_size=16, seed=0):
@@ -82,6 +92,24 @@ class BatchNormMLP(Module):
         return self.network.backward(grad_output)
 
 
+class ExplodingClient(BenignClient):
+    """Module-level so it pickles into a thread fleet's SETUP message."""
+
+    def compute_gradient(self, model):
+        raise RuntimeError("client went Byzantine for real")
+
+
+def explode(clients, client_id):
+    """Swap ``clients[client_id]`` for a client whose gradient raises."""
+    clients[client_id] = ExplodingClient(
+        client_id,
+        clients[client_id].dataset,
+        batch_size=4,
+        rng=np.random.default_rng(0),
+    )
+    return clients
+
+
 def collect_with(collector, n_clients, *, dtype=np.float64, model_dtype=None):
     clients = make_clients(n_clients)
     model = make_model(dtype=model_dtype)
@@ -94,19 +122,123 @@ def collect_with(collector, n_clients, *, dtype=np.float64, model_dtype=None):
     return out
 
 
+def collect_rounds(collector, *, n_clients=7, rounds=3, dtype=np.float64, rows=None):
+    """Buffers and final client losses from successive collects.
+
+    ``rows`` is a list of per-round subsets (``None`` = full rounds).
+    """
+    clients = make_clients(n_clients)
+    model = make_model(dtype=None if dtype == np.float64 else dtype)
+    buffers = []
+    for subset in rows or [None] * rounds:
+        n_rows = n_clients if subset is None else len(subset)
+        out = np.empty((n_rows, model.num_parameters()), dtype=dtype)
+        collector.collect(clients, model, out, rows=subset)
+        buffers.append(out.copy())
+    return buffers, [client.last_loss for client in clients]
+
+
+def run_batchnorm_rounds(collector, *, model_name=None, rounds=3, n_clients=6, seed=0):
+    """Collect ``rounds`` rounds with a BatchNorm model; return the final
+    round buffer, evaluation metrics, and the global model's buffers.
+
+    The model is :class:`BatchNormMLP`, or the registered ``model_name``
+    (``resnet_lite`` for fleets that cannot import test classes).  The
+    collector is left open, so every backend is checked against the same
+    sequential reference.
+    """
+    split = build_dataset(
+        "mnist_like",
+        num_train=180,
+        num_test=60,
+        rng=np.random.default_rng(seed),
+    )
+    rng_factory = RngFactory(seed)
+    indices = np.array_split(np.arange(180), n_clients)
+    clients = [
+        BenignClient(
+            cid,
+            split.train.subset(idx),
+            batch_size=16,
+            rng=rng_factory.make(f"client-{cid}"),
+        )
+        for cid, idx in enumerate(indices)
+    ]
+    if model_name is None:
+        model = BatchNormMLP()
+    else:
+        model = build_model(model_name, split.spec, rng=np.random.default_rng(1))
+    out = np.empty((n_clients, model.num_parameters()))
+    for _ in range(rounds):
+        collector.collect(clients, model, out)
+    accuracy, loss = evaluate_model(model, split.test)
+    buffers = {name: value.copy() for name, value in model.named_buffers()}
+    return out.copy(), accuracy, loss, buffers
+
+
+@pytest.fixture(scope="module", params=FLEETS, ids=lambda fleet: f"{fleet[0]}{fleet[1]}")
+def fleet_collector(request):
+    """One collector per fleet, shared by the matrix: a new population
+    re-ships shards to the running workers instead of respawning them."""
+    kind, n_workers = request.param
+    collector = make_collector(backend=kind, n_workers=n_workers)
+    yield collector
+    collector.close()
+
+
+class TestFleetBitEquality:
+    """Every fleet kind and size against the sequential reference.
+
+    Cases sharing a model architecture run back to back: a new
+    architecture restarts the fleet.
+    """
+
+    def test_float64_rounds_bit_identical_to_sequential(self, fleet_collector):
+        sequential, seq_losses = collect_rounds(SequentialCollector())
+        fleet, fleet_losses = collect_rounds(fleet_collector)
+        for seq_round, fleet_round in zip(sequential, fleet):
+            # Bit-for-bit, not allclose: scheduling must not change anything.
+            assert np.array_equal(seq_round, fleet_round)
+        # Worker-side client state (the loss of the round's batch) is
+        # mirrored back onto the caller's client objects.
+        assert seq_losses == fleet_losses
+
+    def test_sampled_rows_bit_identical_to_sequential(self, fleet_collector):
+        # Non-contiguous subsets that straddle the workers' chunks.
+        rows = [[0, 2, 3, 6], [1, 2, 5], [4]]
+        sequential, seq_losses = collect_rounds(SequentialCollector(), rows=rows)
+        fleet, fleet_losses = collect_rounds(fleet_collector, rows=rows)
+        for seq_round, fleet_round in zip(sequential, fleet):
+            assert np.array_equal(seq_round, fleet_round)
+        assert seq_losses == fleet_losses
+
+    def test_float32_bit_identical_to_sequential(self, fleet_collector):
+        sequential, _ = collect_rounds(SequentialCollector(), dtype=np.float32)
+        fleet, _ = collect_rounds(fleet_collector, dtype=np.float32)
+        assert sequential[0].dtype == np.float32
+        for seq_round, fleet_round in zip(sequential, fleet):
+            assert np.array_equal(seq_round, fleet_round)
+
+    def test_batchnorm_buffers_and_eval_match_sequential(self, fleet_collector):
+        # Worker replicas log their per-batch statistics and the collector
+        # replays them onto the global model in client order, so running
+        # statistics — and evaluation metrics — are bit-identical.
+        reference = run_batchnorm_rounds(
+            SequentialCollector(), model_name="resnet_lite", rounds=2, n_clients=4
+        )
+        seq_out, seq_acc, seq_loss, seq_buffers = reference
+        out, acc, loss, buffers = run_batchnorm_rounds(
+            fleet_collector, model_name="resnet_lite", rounds=2, n_clients=4
+        )
+        assert np.array_equal(seq_out, out)
+        assert seq_acc == acc
+        assert seq_loss == loss
+        assert seq_buffers and set(seq_buffers) == set(buffers)
+        for name in seq_buffers:
+            assert np.array_equal(seq_buffers[name], buffers[name]), name
+
+
 class TestBitEquality:
-    def test_threaded_float64_bit_identical_to_sequential(self):
-        n_clients = 10
-        sequential = collect_with(SequentialCollector(), n_clients)
-        threaded = collect_with(ParallelCollector(4), n_clients)
-        # Bit-for-bit, not allclose: scheduling must not change anything.
-        assert np.array_equal(sequential, threaded)
-
-    def test_threaded_collect_repeatable_across_runs(self):
-        first = collect_with(ParallelCollector(3), 8)
-        second = collect_with(ParallelCollector(3), 8)
-        assert np.array_equal(first, second)
-
     def test_full_experiment_equivalent_with_workers(self):
         def run(n_workers):
             config = ExperimentConfig(
@@ -129,22 +261,13 @@ class TestBitEquality:
 
 
 class TestFloat32:
-    def test_float32_threaded_matches_sequential_bitwise(self):
-        # Determinism is dtype-independent: even at float32 the threaded
-        # path is bit-identical to the sequential float32 path.
-        sequential = collect_with(
-            SequentialCollector(), 6, dtype=np.float32, model_dtype=np.float32
-        )
-        threaded = collect_with(
-            ParallelCollector(3), 6, dtype=np.float32, model_dtype=np.float32
-        )
-        assert sequential.dtype == np.float32
-        assert np.array_equal(sequential, threaded)
-
     def test_float32_close_to_float64_reference(self):
         reference = collect_with(SequentialCollector(), 6)
         reduced = collect_with(
-            ParallelCollector(3), 6, dtype=np.float32, model_dtype=np.float32
+            make_collector(backend="thread", n_workers=3),
+            6,
+            dtype=np.float32,
+            model_dtype=np.float32,
         )
         scale = np.abs(reference).max()
         assert np.allclose(reference, reduced, atol=1e-5 * max(scale, 1.0))
@@ -153,14 +276,17 @@ class TestFloat32:
 class TestWorkerCounts:
     @pytest.mark.parametrize("n_workers", [1, 7, 20])
     def test_edge_worker_counts_match_sequential(self, n_workers):
-        # 1 worker (degenerate pool), exactly n_clients, and > n_clients.
+        # 1 worker (the sequential strategy), exactly n_clients, and more
+        # workers than clients (the surplus serve empty shards).
         n_clients = 7
         sequential = collect_with(SequentialCollector(), n_clients)
-        threaded = collect_with(ParallelCollector(n_workers), n_clients)
+        threaded = collect_with(
+            make_collector(backend="thread", n_workers=n_workers), n_clients
+        )
         assert np.array_equal(sequential, threaded)
 
     def test_worker_timings_cover_all_clients(self):
-        collector = ParallelCollector(3)
+        collector = make_collector(backend="thread", n_workers=3)
         clients = make_clients(8)
         model = make_model()
         out = np.empty((8, model.num_parameters()))
@@ -169,60 +295,56 @@ class TestWorkerCounts:
             timings = collector.worker_timings
         finally:
             collector.close()
-        assert len(timings) == 3
+        # Integer fleet indices, not the workers' loopback addresses.
         assert sorted(w for w, _, _ in timings) == [0, 1, 2]
         assert sum(count for _, _, count in timings) == 8
         assert all(seconds >= 0 for _, seconds, _ in timings)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
-            ParallelCollector(0)
+            LocalFleetCollector("thread", 0)
+        with pytest.raises(ValueError, match="fleet kind"):
+            LocalFleetCollector("greenlet", 2)
 
     def test_build_collector_dispatch(self):
         assert isinstance(build_collector(1), SequentialCollector)
-        assert isinstance(build_collector(4), ParallelCollector)
-        assert isinstance(build_collector(4, "thread"), ParallelCollector)
-        assert isinstance(build_collector(4, "process"), ProcessCollector)
+        for backend in ("thread", "process"):
+            collector = build_collector(4, backend)
+            assert isinstance(collector, LocalFleetCollector)
+            assert (collector.kind, collector.n_workers) == (backend, 4)
+            assert collector.fleet is None  # workers start at first collect
+        assert build_collector(4).kind == "thread"
         assert isinstance(build_collector(4, "sequential"), SequentialCollector)
         assert isinstance(build_collector(1, "process"), SequentialCollector)
-        assert default_worker_count() >= 1
 
     def test_build_collector_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="collect backend"):
             build_collector(4, "greenlet")
 
     def test_collector_reusable_after_close(self):
-        collector = ParallelCollector(2)
-        first = collect_with_collector_twice(collector)
-        assert first
-
-
-def collect_with_collector_twice(collector):
-    clients = make_clients(5)
-    model = make_model()
-    out = np.empty((5, model.num_parameters()))
-    collector.collect(clients, model, out)
-    collector.close()
-    # After close() the executor and replicas are rebuilt on demand.
-    collector.collect(clients, model, out)
-    collector.close()
-    return True
+        collector = make_collector(backend="thread", n_workers=2)
+        clients = make_clients(5)
+        model = make_model()
+        first = np.empty((5, model.num_parameters()))
+        again = np.empty_like(first)
+        try:
+            collector.collect(clients, model, first)
+            collector.close()
+            assert collector.fleet is None
+            # The next collect starts a fresh fleet from the caller's client
+            # objects, which close() made authoritative again.
+            collector.collect(clients, model, again)
+        finally:
+            collector.close()
+        assert np.array_equal(first, again)
 
 
 class TestExceptionPropagation:
     def test_failing_client_raises(self):
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("client 3 went Byzantine for real")
-
-        clients = make_clients(6)
-        bad = ExplodingClient(
-            3, clients[3].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
-        clients[3] = bad
+        clients = explode(make_clients(6), 3)
         model = make_model()
         out = np.zeros((6, model.num_parameters()))
-        collector = ParallelCollector(3)
+        collector = make_collector(backend="thread", n_workers=3)
         try:
             with pytest.raises(RuntimeError, match="went Byzantine"):
                 collector.collect(clients, model, out)
@@ -230,35 +352,27 @@ class TestExceptionPropagation:
             collector.close()
 
     def test_other_clients_still_collected_on_failure(self):
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("boom")
-
-        clients = make_clients(4)
-        clients[0] = ExplodingClient(
-            0, clients[0].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
+        clients = explode(make_clients(4), 0)
         model = make_model()
         out = np.zeros((4, model.num_parameters()))
-        collector = ParallelCollector(2)
+        collector = make_collector(backend="thread", n_workers=2)
         try:
             with pytest.raises(RuntimeError):
                 collector.collect(clients, model, out)
         finally:
             collector.close()
-        # Worker 1 (clients 1 and 3) finished its chunk before the error
+        # Worker 1 (clients 2 and 3) finished its shard before the error
         # surfaced; its rows are populated.  Worker 0's rows (the failing
-        # client and everything after it in the chunk) are NaN-invalidated.
-        assert np.all(np.isfinite(out[1]))
-        assert np.all(np.isfinite(out[3]))
+        # client and everything after it in the shard) are NaN-invalidated.
         assert np.all(np.isnan(out[0]))
-        assert np.all(np.isnan(out[2]))
+        assert np.all(np.isnan(out[1]))
+        assert np.all(np.isfinite(out[2]))
+        assert np.all(np.isfinite(out[3]))
 
 
 class TestStochasticForwardModels:
     def test_dropout_model_rejected_by_parallel_collector(self):
-        from repro.nn.layers import Dropout, Flatten, Linear, Sequential
-        from repro.nn.module import Module
+        from repro.nn.layers import Dropout
 
         class DropoutMLP(Module):
             def __init__(self):
@@ -276,10 +390,10 @@ class TestStochasticForwardModels:
         clients = make_clients(4)
         model = DropoutMLP()
         out = np.empty((4, model.num_parameters()))
-        collector = ParallelCollector(2)
+        collector = make_collector(backend="thread", n_workers=2)
         try:
             # Dropout draws masks from a model-owned RNG; replicas would
-            # consume that stream per chunk instead of in client order, so
+            # consume that stream per shard instead of in client order, so
             # the collector must refuse rather than silently diverge.
             with pytest.raises(ValueError, match="RNG-consuming"):
                 collector.collect(clients, model, out)
@@ -292,47 +406,34 @@ class TestStochasticForwardModels:
 
 class TestProfilerIntegration:
     def test_per_worker_stages_recorded(self):
-        from repro.perf.profiler import RoundProfiler
-
         profiler = RoundProfiler()
         config = ExperimentConfig(
             num_clients=6,
             seed=0,
             data=DataConfig(dataset="mnist_like", num_train=120, num_test=40),
-            training=TrainingConfig(model="mlp", rounds=2, batch_size=16, n_workers=3),
+            training=TrainingConfig(model="mlp", rounds=2, batch_size=16, n_workers=2),
             defense=DefenseConfig(name="signguard"),
         )
         run_experiment(config, profiler=profiler)
         summary = profiler.summary()
         assert "collect_gradients" in summary
         worker_stages = [s for s in summary if s.startswith("collect_worker_")]
-        assert sorted(worker_stages) == [
-            "collect_worker_0",
-            "collect_worker_1",
-            "collect_worker_2",
-        ]
+        assert sorted(worker_stages) == ["collect_worker_0", "collect_worker_1"]
         assert summary["collect_worker_0"]["count"] == 2  # one sample per round
 
 
 class TestBufferInvalidation:
     """A failed round must never leave stale gradients in the reused buffer."""
 
-    class ExplodingClient(BenignClient):
-        def compute_gradient(self, model):
-            raise RuntimeError("boom")
-
     @pytest.mark.parametrize("make_collector", [SequentialCollector, None])
     def test_stale_rows_are_nan_after_failure(self, make_collector):
-        collector = make_collector() if make_collector else ParallelCollector(2)
-        clients = make_clients(4)
-        clients[2] = self.ExplodingClient(
-            2, clients[2].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
+        collector = make_collector() if make_collector else build_collector(2, "thread")
+        clients = explode(make_clients(4), 2)
         model = make_model()
         # Simulate a buffer still holding the previous round's gradients.
         out = np.full((4, model.num_parameters()), 7.0)
         try:
-            with pytest.raises(RuntimeError, match="boom"):
+            with pytest.raises(RuntimeError, match="went Byzantine"):
                 collector.collect(clients, model, out)
         finally:
             collector.close()
@@ -349,67 +450,105 @@ class TestBufferInvalidation:
         assert np.all(np.isfinite(out))
 
 
-def run_batchnorm_rounds(make_collector, rounds=3, n_clients=6, seed=0):
-    """Collect ``rounds`` rounds with a BatchNorm model; return the final
-    round buffer, evaluation metrics, and the global model's buffers.
-
-    Shared with ``test_fl_process_collect.py`` so every backend is checked
-    against the same sequential reference.
-    """
-    split = build_dataset(
-        "mnist_like",
-        num_train=180,
-        num_test=60,
-        rng=np.random.default_rng(seed),
-    )
-    rng_factory = RngFactory(seed)
-    indices = np.array_split(np.arange(180), n_clients)
-    clients = [
-        BenignClient(
-            cid,
-            split.train.subset(idx),
-            batch_size=16,
-            rng=rng_factory.make(f"client-{cid}"),
-        )
-        for cid, idx in enumerate(indices)
-    ]
-    model = BatchNormMLP()
-    out = np.empty((n_clients, model.num_parameters()))
-    with make_collector() as collector:
-        for _ in range(rounds):
-            collector.collect(clients, model, out)
-    accuracy, loss = evaluate_model(model, split.test)
-    buffers = {name: value.copy() for name, value in model.named_buffers()}
-    return out.copy(), accuracy, loss, buffers
-
-
 class TestBatchNormBufferParity:
-    """Sequential and threaded collect agree on BatchNorm buffers and eval.
-
-    Worker replicas log their per-batch statistics and the collector replays
-    them onto the global model in client order, so running statistics — and
-    therefore evaluation metrics — are bit-identical between backends.
-    """
-
-    def test_threaded_buffers_and_eval_match_sequential(self):
-        seq_out, seq_acc, seq_loss, seq_buffers = run_batchnorm_rounds(
-            SequentialCollector
-        )
-        par_out, par_acc, par_loss, par_buffers = run_batchnorm_rounds(
-            lambda: ParallelCollector(3)
-        )
-        assert np.array_equal(seq_out, par_out)
-        assert seq_acc == par_acc
-        assert seq_loss == par_loss
-        assert set(seq_buffers) == set(par_buffers)
-        for name in seq_buffers:
-            assert np.array_equal(seq_buffers[name], par_buffers[name]), name
-
     def test_global_model_buffers_actually_updated(self):
         # The replay must reach the *global* model: after collect rounds the
         # running statistics have moved away from their (0, 1) init.
-        _, _, _, buffers = run_batchnorm_rounds(
-            lambda: ParallelCollector(2), rounds=2
-        )
+        collector = make_collector(backend="thread", n_workers=2)
+        try:
+            _, _, _, buffers = run_batchnorm_rounds(collector, rounds=2)
+        finally:
+            collector.close()
         mean_name = next(name for name in buffers if "running_mean" in name)
         assert not np.allclose(buffers[mean_name], 0.0)
+
+
+class TestProcessFleet:
+    """What only a process boundary can show: subprocess lifetimes."""
+
+    def test_run_experiment_matches_sequential_and_leaks_no_workers(self, monkeypatch):
+        fleets = []
+
+        def recording_spawn(n_workers):
+            fleets.append(transport_collector.spawn_local_fleet(n_workers))
+            return fleets[-1]
+
+        monkeypatch.setitem(
+            transport_collector.LOCAL_FLEETS, "process", recording_spawn
+        )
+
+        def run(backend, n_workers, profiler=None):
+            config = ExperimentConfig(
+                num_clients=6,
+                seed=5,
+                data=DataConfig(dataset="mnist_like", num_train=120, num_test=40),
+                training=TrainingConfig(
+                    model="mlp",
+                    rounds=2,
+                    batch_size=16,
+                    n_workers=n_workers,
+                    collect_backend=backend,
+                ),
+                defense=DefenseConfig(name="signguard"),
+            )
+            return run_experiment(config, profiler=profiler)
+
+        profiler = RoundProfiler()
+        sequential = run("sequential", 1)
+        process = run("process", 2, profiler)
+        for a, b in zip(sequential.rounds, process.rounds):
+            assert a.train_loss == b.train_loss
+            assert a.test_accuracy == b.test_accuracy
+            assert a.selected_clients == b.selected_clients
+        summary = profiler.summary()
+        worker_stages = [s for s in summary if s.startswith("collect_worker_")]
+        assert sorted(worker_stages) == ["collect_worker_0", "collect_worker_1"]
+        # run_experiment closed its collector: the fleet it spawned is gone.
+        assert len(fleets) == 1
+        assert not any(worker.alive for worker in fleets[0].workers)
+
+    def test_killed_worker_recovered_and_closed_collector_restarts(self):
+        sequential, _ = collect_rounds(SequentialCollector(), n_clients=6, rounds=2)
+        collector = make_collector(backend="process", n_workers=2)
+        clients = make_clients(6)
+        model = make_model()
+        out = np.empty((6, model.num_parameters()))
+        try:
+            collector.collect(clients, model, out)
+            assert np.array_equal(out, sequential[0])
+            # A dead worker enters the recovery ladder: its shard (clients
+            # 0-2) is re-dispatched to the survivor with the last reported
+            # RNG states, so the round completes bit-identically.
+            collector.fleet.workers[0].kill()
+            collector.collect(clients, model, out)
+            assert np.array_equal(out, sequential[1])
+            assert collector.failed_rows == ()
+            assert collector.last_round_redispatched == (0, 1, 2)
+
+            fleet = collector.fleet
+            collector.close()
+            assert collector.fleet is None
+            assert not any(worker.alive for worker in fleet.workers)
+            # The next collect spawns a fresh fleet from the caller's client
+            # objects (authoritative after close, never advanced by the
+            # workers), so it reproduces the first round bit-for-bit.
+            collector.collect(clients, model, out)
+            assert np.array_equal(out, sequential[0])
+        finally:
+            collector.close()
+
+
+class TestConfigValidation:
+    def test_collect_backend_validated(self):
+        config = TrainingConfig(collect_backend="process", n_workers=2)
+        assert config.validate() is config
+        with pytest.raises(ValueError, match="collect_backend"):
+            TrainingConfig(collect_backend="gevent").validate()
+
+    def test_collect_backend_serialization_round_trip(self):
+        config = ExperimentConfig(
+            training=TrainingConfig(collect_backend="process", n_workers=4)
+        )
+        restored = ExperimentConfig.from_dict(config.to_dict())
+        assert restored.training.collect_backend == "process"
+        assert restored.training.n_workers == 4

@@ -28,12 +28,7 @@ from repro.attacks.base import Attack
 from repro.core import SignGuard
 from repro.data.partition import iid_partition
 from repro.data.synthetic_images import make_mnist_like
-from repro.fl.collector import (
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-    resolve_rows,
-)
+from repro.fl.collector import SequentialCollector, make_collector, resolve_rows
 from repro.fl.experiment import run_experiment
 from repro.fl.participation import (
     FixedCohortParticipation,
@@ -47,7 +42,7 @@ from repro.fl.server import FederatedServer
 from repro.fl.simulation import FederatedSimulation, build_clients
 from repro.nn.models import build_model
 from repro.utils.rng import RngFactory
-from test_fl_parallel_collect import BatchNormMLP, make_clients, make_model
+from test_fl_parallel_collect import BatchNormMLP, explode, make_clients, make_model
 
 
 class TestRoundPlan:
@@ -198,16 +193,24 @@ class TestSchedules:
 
 
 class TestCollectSubsets:
-    """Non-contiguous subsets through all three backends."""
+    """Non-contiguous subsets through the sequential and fleet backends.
+
+    The process fleet joins only the cases whose clients and model
+    ``repro-worker`` subprocesses can import.
+    """
 
     ROWS = [0, 2, 5]
 
-    def backends(self):
-        return [
+    def backends(self, process=True):
+        backends = [
             ("sequential", SequentialCollector),
-            ("thread", lambda: ParallelCollector(2)),
-            ("process", lambda: ProcessCollector(2)),
+            ("thread", lambda: make_collector(backend="thread", n_workers=2)),
         ]
+        if process:
+            backends.append(
+                ("process", lambda: make_collector(backend="process", n_workers=2))
+            )
+        return backends
 
     def test_subset_rows_match_full_collect_across_backends(self):
         # Round 1 from a fresh population: client i's gradient depends only
@@ -254,6 +257,8 @@ class TestCollectSubsets:
             out = np.empty((len(self.ROWS), model.num_parameters()))
             with make_collector() as collector:
                 collector.collect(clients, model, out, rows=self.ROWS)
+                # Fleet workers report the streams they advanced.
+                assert set(collector.client_rng_states()) <= set(self.ROWS), name
             for i, before in zip((1, 3, 4), spectator_states):
                 assert clients[i].loader._rng.bit_generator.state == before, (
                     f"{name}: client {i} RNG advanced without being sampled"
@@ -270,27 +275,18 @@ class TestCollectSubsets:
             return {k: v.copy() for k, v in model.state_dict().items()}
 
         reference = run(SequentialCollector)
-        for name, make_collector in self.backends()[1:]:
+        for name, make_collector in self.backends(process=False)[1:]:
             state = run(make_collector)
             for key in reference:
                 assert np.array_equal(reference[key], state[key]), f"{name}:{key}"
 
     def test_variable_width_buffer_nan_invalidated_on_failure(self):
-        from repro.fl.client import BenignClient
-
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("boom")
-
-        for name, make_collector in self.backends():
-            clients = make_clients(6)
-            clients[2] = ExplodingClient(
-                2, clients[2].dataset, batch_size=4, rng=np.random.default_rng(0)
-            )
+        for name, make_collector in self.backends(process=False):
+            clients = explode(make_clients(6), 2)
             model = make_model()
             out = np.full((3, model.num_parameters()), 7.0)
             with make_collector() as collector:
-                with pytest.raises(RuntimeError, match="boom"):
+                with pytest.raises(RuntimeError, match="went Byzantine"):
                     collector.collect(clients, model, out, rows=[0, 2, 5])
             assert not np.any(out == 7.0), name
             assert np.all(np.isnan(out[1])), name  # the failed client's row
@@ -298,7 +294,7 @@ class TestCollectSubsets:
     def test_apply_batch_stats_false_leaves_global_model_untouched(self):
         # Straggler semantics: the gradient computes (RNG advances) but no
         # BatchNorm running-statistics update reaches the global model.
-        for name, make_collector in self.backends():
+        for name, make_collector in self.backends(process=False):
             clients = make_clients(6)
             model = BatchNormMLP()
             before = {k: v.copy() for k, v in model.state_dict().items()}
@@ -312,46 +308,22 @@ class TestCollectSubsets:
             for key in before:
                 assert np.array_equal(before[key], after[key]), f"{name}:{key}"
 
-    def test_sampled_shm_rows_still_invalidated_in_process_backend(self):
-        from repro.fl.client import BenignClient
-
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("boom")
-
-        clients = make_clients(6)
-        clients[4] = ExplodingClient(
-            4, clients[4].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
-        model = make_model()
-        collector = ProcessCollector(2)
-        try:
-            # A successful sampled round, then a failing one over different
-            # rows: the failed row must come back NaN, not a stale value
-            # from the earlier round's shared-memory contents.
-            warm = np.empty((2, model.num_parameters()))
-            collector.collect(clients, model, warm, rows=[0, 2])
-            out = np.full((2, model.num_parameters()), 7.0)
-            with pytest.raises(RuntimeError, match="boom"):
-                collector.collect(clients, model, out, rows=[2, 4])
-        finally:
-            collector.close()
-        assert np.all(np.isnan(out[1]))
-        assert not np.any(out == 7.0)
-
     def test_process_workers_persist_across_varying_subsets(self):
         clients = make_clients(6)
         model = make_model()
-        collector = ProcessCollector(2)
+        collector = make_collector(backend="process", n_workers=2)
         try:
             out = np.empty((3, model.num_parameters()))
             collector.collect(clients, model, out, rows=[0, 2, 5])
-            pids = [p.pid for p in collector._procs]
+            fleet = collector.fleet
+            pids = [worker.process.pid for worker in fleet.workers]
             out_full = np.empty((6, model.num_parameters()))
             collector.collect(clients, model, out_full)
             out_small = np.empty((1, model.num_parameters()))
             collector.collect(clients, model, out_small, rows=[4])
-            assert [p.pid for p in collector._procs] == pids
+            assert collector.fleet is fleet
+            assert [worker.process.pid for worker in fleet.workers] == pids
+            assert all(worker.alive for worker in fleet.workers)
         finally:
             collector.close()
         assert np.all(np.isfinite(out_small))

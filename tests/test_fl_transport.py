@@ -370,12 +370,13 @@ class TestBitEquality:
 
     def test_batchnorm_parity_with_sequential(self):
         seq_out, seq_acc, seq_loss, seq_buffers = run_batchnorm_rounds(
-            SequentialCollector
+            SequentialCollector()
         )
         with start_thread_fleet(2) as fleet:
-            dist_out, dist_acc, dist_loss, dist_buffers = run_batchnorm_rounds(
-                lambda: DistributedCollector(fleet.addresses)
-            )
+            with DistributedCollector(fleet.addresses) as collector:
+                dist_out, dist_acc, dist_loss, dist_buffers = run_batchnorm_rounds(
+                    collector
+                )
         assert np.array_equal(seq_out, dist_out)
         assert seq_acc == dist_acc and seq_loss == dist_loss
         for name in seq_buffers:

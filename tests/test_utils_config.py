@@ -89,7 +89,7 @@ class TestTrainingConfig:
 
     @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
     def test_non_raw_codec_requires_the_distributed_backend(self, backend):
-        # The in-process backends have no wire; a compressed codec there
+        # The local fleets ship raw frames; a compressed codec there
         # is a configuration mistake, not a silent no-op.
         with pytest.raises(ValueError, match="only meaningful"):
             TrainingConfig(
