@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,19 @@ def numerical_gradient(func, x, epsilon=1e-5):
 def gradcheck():
     """Expose the numerical gradient helper as a fixture."""
     return numerical_gradient
+
+
+@pytest.fixture
+def workers_import_tests(monkeypatch):
+    """Let ``repro-worker`` subprocesses unpickle classes the test modules
+    define (``ExplodingClient``, ``BatchNormMLP``).
+
+    Spawned workers inherit ``PYTHONPATH``; the suite imports its helper
+    modules both as ``test_fl_parallel_collect`` and as
+    ``tests.test_fl_parallel_collect``, so both roots go on the path.
+    """
+    tests_dir = Path(__file__).resolve().parent
+    paths = [str(tests_dir), str(tests_dir.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(paths))

@@ -189,7 +189,7 @@ class TestInProcessInjection:
         assert collector.failed_rows == ()
         assert np.isfinite(out).all()
 
-    def test_local_fleet_fault_fails_the_workers_contiguous_shard(self):
+    def test_thread_fault_maps_buffer_positions_to_worker(self):
         clients = make_clients(6)
         model = make_model()
         collector = make_collector(
@@ -202,15 +202,37 @@ class TestInProcessInjection:
             collector.collect(
                 clients, model, np.empty((6, model.num_parameters()))
             )
+            out = np.empty((4, model.num_parameters()))
+            collector.collect(clients, model, out, rows=[0, 2, 3, 5])
+        finally:
+            collector.close()
+        # The population is split contiguously: clients 2 and 3 live on
+        # worker 1 of 3, and sit at buffer positions 1 and 2 of this round.
+        assert collector.failed_rows == (2, 3)
+        assert np.isnan(out[[1, 2]]).all()
+        assert np.isfinite(out[[0, 3]]).all()
+
+    def test_process_fault_maps_client_ids_to_worker(self):
+        clients = make_clients(6)
+        model = make_model()
+        collector = make_collector(
+            backend="process",
+            n_workers=2,
+            fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)]),
+            redispatch=False,
+        )
+        try:
+            collector.collect(
+                clients, model, np.empty((6, model.num_parameters()))
+            )
             out = np.empty((6, model.num_parameters()))
             collector.collect(clients, model, out)
         finally:
             collector.close()
-        # The population is split contiguously: clients 2 and 3 live on
-        # worker 1 of 3.
-        assert collector.failed_rows == (2, 3)
-        assert np.isnan(out[[2, 3]]).all()
-        assert np.isfinite(out[[0, 1, 4, 5]]).all()
+        # Client ids 3, 4, 5 are the contiguous chunk of worker 1 of 2.
+        assert collector.failed_rows == (3, 4, 5)
+        assert np.isnan(out[[3, 4, 5]]).all()
+        assert np.isfinite(out[[0, 1, 2]]).all()
 
     @pytest.mark.parametrize(
         "make_faulted_collector, failed_ids",

@@ -1,24 +1,20 @@
-"""Tests for the parallel collect backends, ``"thread"`` and ``"process"``.
+"""Tests for the ``"thread"`` collect backend.
 
-Both are a :class:`~repro.fl.transport.DistributedCollector` over a
-localhost fleet the collector owns
-(:class:`~repro.fl.transport.LocalFleetCollector`): ``repro-worker``
-servers on threads of this interpreter, or in subprocesses.  The contract
-under test, for both fleet kinds: collects are *bit-identical* to the
-sequential path (float64, float32, non-contiguous ``rows=`` subsets,
-successive rounds, BatchNorm buffers and evaluation); client exceptions
-propagate and the reused round buffer is NaN-invalidated so stale rows
-cannot leak; models with RNG-consuming layers are refused; worker timings
-keep integer labels; ``close()`` stops the fleet and the next collect
-starts a fresh one; a killed worker's rows walk the recovery ladder.
+Both local-fleet backends, ``"thread"`` and ``"process"``, are a
+:class:`~repro.fl.transport.DistributedCollector` over a localhost fleet
+the collector owns (:class:`~repro.fl.transport.LocalFleetCollector`):
+``repro-worker`` servers on threads of this interpreter, or in
+subprocesses.  The contract under test here on the thread kind (and in
+``test_fl_process_collect.py`` on the process kind): collects are
+*bit-identical* to the sequential path (float64, float32, successive
+rounds, BatchNorm buffers and evaluation); client exceptions propagate and
+the reused round buffer is NaN-invalidated so stale rows cannot leak;
+models with RNG-consuming layers are refused; worker timings keep integer
+labels; ``close()`` stops the fleet and the next collect starts a fresh
+one.  Non-contiguous ``rows=`` subsets run on both kinds and sizes.
 
-Process-kind cases are kept to those that need a process boundary: a
-fleet spawn costs seconds, and spawned interpreters can import only
-``repro``'s own classes — so their BatchNorm case runs ``resnet_lite``
-and test-local client classes run on the thread kind only.
-
-The population/model helpers here are shared with the transport, fault
-and participation suites.
+The population/model helpers here are shared with the process, transport,
+fault and participation suites.
 """
 
 from __future__ import annotations
@@ -33,16 +29,14 @@ from repro.fl.collector import SequentialCollector, build_collector, make_collec
 from repro.fl.experiment import run_experiment
 from repro.fl.metrics import evaluate_model
 from repro.fl.transport import LocalFleetCollector
-from repro.fl.transport import collector as transport_collector
 from repro.nn.activations import ReLU
 from repro.nn.layers import BatchNorm1d, Flatten, Linear, Sequential
-from repro.nn.models.factory import build_model
 from repro.nn.models.mlp import MLP
 from repro.nn.module import Module
 from repro.perf.profiler import RoundProfiler
 from repro.utils.rng import RngFactory
 
-#: (kind, n_workers) of every fleet the bit-identity matrix runs on.
+#: (kind, n_workers) of every fleet the sampled-rows matrix runs on.
 FLEETS = [("thread", 2), ("thread", 3), ("process", 2), ("process", 3)]
 
 
@@ -138,14 +132,11 @@ def collect_rounds(collector, *, n_clients=7, rounds=3, dtype=np.float64, rows=N
     return buffers, [client.last_loss for client in clients]
 
 
-def run_batchnorm_rounds(collector, *, model_name=None, rounds=3, n_clients=6, seed=0):
-    """Collect ``rounds`` rounds with a BatchNorm model; return the final
-    round buffer, evaluation metrics, and the global model's buffers.
+def run_batchnorm_rounds(collector, *, rounds=3, n_clients=6, seed=0):
+    """Collect ``rounds`` rounds with a :class:`BatchNormMLP`; return the
+    final round buffer, evaluation metrics, and the global model's buffers.
 
-    The model is :class:`BatchNormMLP`, or the registered ``model_name``
-    (``resnet_lite`` for fleets that cannot import test classes).  The
-    collector is left open, so every backend is checked against the same
-    sequential reference.
+    The collector is left open; the caller closes it.
     """
     split = build_dataset(
         "mnist_like",
@@ -164,10 +155,7 @@ def run_batchnorm_rounds(collector, *, model_name=None, rounds=3, n_clients=6, s
         )
         for cid, idx in enumerate(indices)
     ]
-    if model_name is None:
-        model = BatchNormMLP()
-    else:
-        model = build_model(model_name, split.spec, rng=np.random.default_rng(1))
+    model = BatchNormMLP()
     out = np.empty((n_clients, model.num_parameters()))
     for _ in range(rounds):
         collector.collect(clients, model, out)
@@ -176,69 +164,42 @@ def run_batchnorm_rounds(collector, *, model_name=None, rounds=3, n_clients=6, s
     return out.copy(), accuracy, loss, buffers
 
 
-@pytest.fixture(scope="module", params=FLEETS, ids=lambda fleet: f"{fleet[0]}{fleet[1]}")
-def fleet_collector(request):
-    """One collector per fleet, shared by the matrix: a new population
-    re-ships shards to the running workers instead of respawning them."""
-    kind, n_workers = request.param
+@pytest.mark.parametrize("kind, n_workers", FLEETS, ids=[f"{k}{n}" for k, n in FLEETS])
+def test_sampled_rows_bit_identical_to_sequential(kind, n_workers):
+    # Non-contiguous subsets that straddle the workers' chunks, on every
+    # fleet kind and size.
+    rows = [[0, 2, 3, 6], [1, 2, 5], [4]]
+    sequential, seq_losses = collect_rounds(SequentialCollector(), rows=rows)
     collector = make_collector(backend=kind, n_workers=n_workers)
-    yield collector
-    collector.close()
-
-
-class TestFleetBitEquality:
-    """Every fleet kind and size against the sequential reference.
-
-    Cases sharing a model architecture run back to back: a new
-    architecture restarts the fleet.
-    """
-
-    def test_float64_rounds_bit_identical_to_sequential(self, fleet_collector):
-        sequential, seq_losses = collect_rounds(SequentialCollector())
-        fleet, fleet_losses = collect_rounds(fleet_collector)
-        for seq_round, fleet_round in zip(sequential, fleet):
-            # Bit-for-bit, not allclose: scheduling must not change anything.
-            assert np.array_equal(seq_round, fleet_round)
-        # Worker-side client state (the loss of the round's batch) is
-        # mirrored back onto the caller's client objects.
-        assert seq_losses == fleet_losses
-
-    def test_sampled_rows_bit_identical_to_sequential(self, fleet_collector):
-        # Non-contiguous subsets that straddle the workers' chunks.
-        rows = [[0, 2, 3, 6], [1, 2, 5], [4]]
-        sequential, seq_losses = collect_rounds(SequentialCollector(), rows=rows)
-        fleet, fleet_losses = collect_rounds(fleet_collector, rows=rows)
-        for seq_round, fleet_round in zip(sequential, fleet):
-            assert np.array_equal(seq_round, fleet_round)
-        assert seq_losses == fleet_losses
-
-    def test_float32_bit_identical_to_sequential(self, fleet_collector):
-        sequential, _ = collect_rounds(SequentialCollector(), dtype=np.float32)
-        fleet, _ = collect_rounds(fleet_collector, dtype=np.float32)
-        assert sequential[0].dtype == np.float32
-        for seq_round, fleet_round in zip(sequential, fleet):
-            assert np.array_equal(seq_round, fleet_round)
-
-    def test_batchnorm_buffers_and_eval_match_sequential(self, fleet_collector):
-        # Worker replicas log their per-batch statistics and the collector
-        # replays them onto the global model in client order, so running
-        # statistics — and evaluation metrics — are bit-identical.
-        reference = run_batchnorm_rounds(
-            SequentialCollector(), model_name="resnet_lite", rounds=2, n_clients=4
-        )
-        seq_out, seq_acc, seq_loss, seq_buffers = reference
-        out, acc, loss, buffers = run_batchnorm_rounds(
-            fleet_collector, model_name="resnet_lite", rounds=2, n_clients=4
-        )
-        assert np.array_equal(seq_out, out)
-        assert seq_acc == acc
-        assert seq_loss == loss
-        assert seq_buffers and set(seq_buffers) == set(buffers)
-        for name in seq_buffers:
-            assert np.array_equal(seq_buffers[name], buffers[name]), name
+    try:
+        fleet, fleet_losses = collect_rounds(collector, rows=rows)
+    finally:
+        collector.close()
+    for seq_round, fleet_round in zip(sequential, fleet):
+        assert np.array_equal(seq_round, fleet_round)
+    assert seq_losses == fleet_losses
 
 
 class TestBitEquality:
+    def test_threaded_float64_bit_identical_to_sequential(self):
+        sequential, seq_losses = collect_rounds(SequentialCollector())
+        collector = make_collector(backend="thread", n_workers=3)
+        try:
+            threaded, thread_losses = collect_rounds(collector)
+        finally:
+            collector.close()
+        for seq_round, thread_round in zip(sequential, threaded):
+            # Bit-for-bit, not allclose: scheduling must not change anything.
+            assert np.array_equal(seq_round, thread_round)
+        # Worker-side client state (the loss of the round's batch) is
+        # mirrored back onto the caller's client objects.
+        assert seq_losses == thread_losses
+
+    def test_threaded_collect_repeatable_across_runs(self):
+        first = collect_with(make_collector(backend="thread", n_workers=3), 8)
+        second = collect_with(make_collector(backend="thread", n_workers=3), 8)
+        assert np.array_equal(first, second)
+
     def test_full_experiment_equivalent_with_workers(self):
         def run(n_workers):
             config = ExperimentConfig(
@@ -261,6 +222,21 @@ class TestBitEquality:
 
 
 class TestFloat32:
+    def test_float32_threaded_matches_sequential_bitwise(self):
+        # Determinism is dtype-independent: even at float32 the threaded
+        # path is bit-identical to the sequential float32 path.
+        sequential = collect_with(
+            SequentialCollector(), 6, dtype=np.float32, model_dtype=np.float32
+        )
+        threaded = collect_with(
+            make_collector(backend="thread", n_workers=3),
+            6,
+            dtype=np.float32,
+            model_dtype=np.float32,
+        )
+        assert sequential.dtype == np.float32
+        assert np.array_equal(sequential, threaded)
+
     def test_float32_close_to_float64_reference(self):
         reference = collect_with(SequentialCollector(), 6)
         reduced = collect_with(
@@ -451,6 +427,29 @@ class TestBufferInvalidation:
 
 
 class TestBatchNormBufferParity:
+    """Sequential and threaded collect agree on BatchNorm buffers and eval.
+
+    Worker replicas log their per-batch statistics and the collector replays
+    them onto the global model in client order, so running statistics — and
+    therefore evaluation metrics — are bit-identical between backends.
+    """
+
+    def test_threaded_buffers_and_eval_match_sequential(self):
+        seq_out, seq_acc, seq_loss, seq_buffers = run_batchnorm_rounds(
+            SequentialCollector()
+        )
+        collector = make_collector(backend="thread", n_workers=3)
+        try:
+            par_out, par_acc, par_loss, par_buffers = run_batchnorm_rounds(collector)
+        finally:
+            collector.close()
+        assert np.array_equal(seq_out, par_out)
+        assert seq_acc == par_acc
+        assert seq_loss == par_loss
+        assert seq_buffers and set(seq_buffers) == set(par_buffers)
+        for name in seq_buffers:
+            assert np.array_equal(seq_buffers[name], par_buffers[name]), name
+
     def test_global_model_buffers_actually_updated(self):
         # The replay must reach the *global* model: after collect rounds the
         # running statistics have moved away from their (0, 1) init.
@@ -461,94 +460,3 @@ class TestBatchNormBufferParity:
             collector.close()
         mean_name = next(name for name in buffers if "running_mean" in name)
         assert not np.allclose(buffers[mean_name], 0.0)
-
-
-class TestProcessFleet:
-    """What only a process boundary can show: subprocess lifetimes."""
-
-    def test_run_experiment_matches_sequential_and_leaks_no_workers(self, monkeypatch):
-        fleets = []
-
-        def recording_spawn(n_workers):
-            fleets.append(transport_collector.spawn_local_fleet(n_workers))
-            return fleets[-1]
-
-        monkeypatch.setitem(
-            transport_collector.LOCAL_FLEETS, "process", recording_spawn
-        )
-
-        def run(backend, n_workers, profiler=None):
-            config = ExperimentConfig(
-                num_clients=6,
-                seed=5,
-                data=DataConfig(dataset="mnist_like", num_train=120, num_test=40),
-                training=TrainingConfig(
-                    model="mlp",
-                    rounds=2,
-                    batch_size=16,
-                    n_workers=n_workers,
-                    collect_backend=backend,
-                ),
-                defense=DefenseConfig(name="signguard"),
-            )
-            return run_experiment(config, profiler=profiler)
-
-        profiler = RoundProfiler()
-        sequential = run("sequential", 1)
-        process = run("process", 2, profiler)
-        for a, b in zip(sequential.rounds, process.rounds):
-            assert a.train_loss == b.train_loss
-            assert a.test_accuracy == b.test_accuracy
-            assert a.selected_clients == b.selected_clients
-        summary = profiler.summary()
-        worker_stages = [s for s in summary if s.startswith("collect_worker_")]
-        assert sorted(worker_stages) == ["collect_worker_0", "collect_worker_1"]
-        # run_experiment closed its collector: the fleet it spawned is gone.
-        assert len(fleets) == 1
-        assert not any(worker.alive for worker in fleets[0].workers)
-
-    def test_killed_worker_recovered_and_closed_collector_restarts(self):
-        sequential, _ = collect_rounds(SequentialCollector(), n_clients=6, rounds=2)
-        collector = make_collector(backend="process", n_workers=2)
-        clients = make_clients(6)
-        model = make_model()
-        out = np.empty((6, model.num_parameters()))
-        try:
-            collector.collect(clients, model, out)
-            assert np.array_equal(out, sequential[0])
-            # A dead worker enters the recovery ladder: its shard (clients
-            # 0-2) is re-dispatched to the survivor with the last reported
-            # RNG states, so the round completes bit-identically.
-            collector.fleet.workers[0].kill()
-            collector.collect(clients, model, out)
-            assert np.array_equal(out, sequential[1])
-            assert collector.failed_rows == ()
-            assert collector.last_round_redispatched == (0, 1, 2)
-
-            fleet = collector.fleet
-            collector.close()
-            assert collector.fleet is None
-            assert not any(worker.alive for worker in fleet.workers)
-            # The next collect spawns a fresh fleet from the caller's client
-            # objects (authoritative after close, never advanced by the
-            # workers), so it reproduces the first round bit-for-bit.
-            collector.collect(clients, model, out)
-            assert np.array_equal(out, sequential[0])
-        finally:
-            collector.close()
-
-
-class TestConfigValidation:
-    def test_collect_backend_validated(self):
-        config = TrainingConfig(collect_backend="process", n_workers=2)
-        assert config.validate() is config
-        with pytest.raises(ValueError, match="collect_backend"):
-            TrainingConfig(collect_backend="gevent").validate()
-
-    def test_collect_backend_serialization_round_trip(self):
-        config = ExperimentConfig(
-            training=TrainingConfig(collect_backend="process", n_workers=4)
-        )
-        restored = ExperimentConfig.from_dict(config.to_dict())
-        assert restored.training.collect_backend == "process"
-        assert restored.training.n_workers == 4

@@ -308,6 +308,26 @@ class TestCollectSubsets:
             for key in before:
                 assert np.array_equal(before[key], after[key]), f"{name}:{key}"
 
+    def test_sampled_shm_rows_still_invalidated_in_process_backend(
+        self, workers_import_tests
+    ):
+        clients = explode(make_clients(6), 4)
+        model = make_model()
+        collector = make_collector(backend="process", n_workers=2)
+        try:
+            # A successful sampled round, then a failing one over different
+            # rows: the failed row must come back NaN, not a stale value
+            # from the earlier round.
+            warm = np.empty((2, model.num_parameters()))
+            collector.collect(clients, model, warm, rows=[0, 2])
+            out = np.full((2, model.num_parameters()), 7.0)
+            with pytest.raises(RuntimeError, match="went Byzantine"):
+                collector.collect(clients, model, out, rows=[2, 4])
+        finally:
+            collector.close()
+        assert np.all(np.isnan(out[1]))
+        assert not np.any(out == 7.0)
+
     def test_process_workers_persist_across_varying_subsets(self):
         clients = make_clients(6)
         model = make_model()
