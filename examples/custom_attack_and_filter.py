@@ -11,6 +11,7 @@ needs:
    federated simulation.
 
 Run with:  python examples/custom_attack_and_filter.py
+(exits non-zero unless SignGuard filters every malicious gradient)
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def main() -> None:
     caught = set(range(num_byzantine)) - set(int(i) for i in result.selected_indices)
     print(f"SignGuard kept     : {sorted(map(int, result.selected_indices))}")
     print(f"Malicious filtered : {len(caught)} of {num_byzantine}")
+    if len(caught) != num_byzantine:
+        raise SystemExit("SignGuard kept a partial-drift gradient")
     benign_mean = honest[num_byzantine:].mean(axis=0)
     print(
         "Aggregate error vs benign mean: "

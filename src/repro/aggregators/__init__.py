@@ -20,9 +20,6 @@ from repro.aggregators.geometric_median import (
 from repro.aggregators.krum import KrumAggregator, MultiKrumAggregator
 from repro.aggregators.bulyan import BulyanAggregator
 from repro.aggregators.dnc import DivideAndConquerAggregator
-from repro.aggregators.signsgd import SignSGDMajorityAggregator
-from repro.aggregators.centered_clipping import CenteredClippingAggregator
-from repro.aggregators.fltrust import FLTrustAggregator
 from repro.aggregators.norms import clip_gradients_to_norm, median_norm
 from repro.aggregators.factory import AGGREGATOR_REGISTRY, build_aggregator
 
@@ -40,9 +37,6 @@ __all__ = [
     "MultiKrumAggregator",
     "BulyanAggregator",
     "DivideAndConquerAggregator",
-    "SignSGDMajorityAggregator",
-    "CenteredClippingAggregator",
-    "FLTrustAggregator",
     "clip_gradients_to_norm",
     "median_norm",
     "AGGREGATOR_REGISTRY",

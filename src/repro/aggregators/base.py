@@ -32,10 +32,9 @@ class ServerContext:
         round_index: current federated round.
         rng: the server's random generator (used e.g. for SignGuard's random
             coordinate selection).
-        previous_gradient: the aggregate chosen in the previous round, used
-            by history-aware similarity features.
-        reference_gradient: a trusted gradient computed on server-held data,
-            only available to auxiliary-data defenses such as FLTrust.
+        previous_gradient: the aggregate chosen in the previous round, the
+            reference of SignGuard-Sim's and SignGuard-Dist's similarity
+            feature.
         num_byzantine_hint: the Byzantine count the operator *believes*;
             baselines like Krum and Bulyan require it (the paper notes this
             is an unrealistic advantage), SignGuard ignores it.
@@ -49,7 +48,6 @@ class ServerContext:
     round_index: int = 0
     rng: np.random.Generator = field(default_factory=_default_server_rng)
     previous_gradient: Optional[np.ndarray] = None
-    reference_gradient: Optional[np.ndarray] = None
     num_byzantine_hint: Optional[int] = None
     batch: Optional[GradientBatch] = None
     extra: Dict[str, Any] = field(default_factory=dict)

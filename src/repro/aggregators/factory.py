@@ -11,14 +11,11 @@ from typing import Any, Dict
 
 from repro.aggregators.base import Aggregator
 from repro.aggregators.bulyan import BulyanAggregator
-from repro.aggregators.centered_clipping import CenteredClippingAggregator
 from repro.aggregators.dnc import DivideAndConquerAggregator
-from repro.aggregators.fltrust import FLTrustAggregator
 from repro.aggregators.geometric_median import GeometricMedianAggregator
 from repro.aggregators.krum import KrumAggregator, MultiKrumAggregator
 from repro.aggregators.mean import MeanAggregator
 from repro.aggregators.median import CoordinateMedianAggregator
-from repro.aggregators.signsgd import SignSGDMajorityAggregator
 from repro.aggregators.trimmed_mean import TrimmedMeanAggregator
 from repro.aggregators.weighted import WeightedMeanAggregator
 from repro.utils.registry import Registry
@@ -34,9 +31,6 @@ AGGREGATOR_REGISTRY.register("krum", KrumAggregator)
 AGGREGATOR_REGISTRY.register("multi_krum", MultiKrumAggregator)
 AGGREGATOR_REGISTRY.register("bulyan", BulyanAggregator)
 AGGREGATOR_REGISTRY.register("dnc", DivideAndConquerAggregator)
-AGGREGATOR_REGISTRY.register("signsgd", SignSGDMajorityAggregator)
-AGGREGATOR_REGISTRY.register("centered_clipping", CenteredClippingAggregator)
-AGGREGATOR_REGISTRY.register("fltrust", FLTrustAggregator)
 
 AGGREGATOR_REGISTRY.register_alias("fedavg", "weighted_mean")
 AGGREGATOR_REGISTRY.register_alias("trmean", "trimmed_mean")

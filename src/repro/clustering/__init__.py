@@ -1,38 +1,20 @@
-"""From-scratch clustering algorithms used by SignGuard's filtering stage.
+"""From-scratch Mean-Shift clustering for SignGuard's sign-based filter.
 
-The paper uses Mean-Shift (with an adaptive number of clusters) over
-low-dimensional gradient features, falling back to K-Means with two clusters
-when all malicious clients send identical vectors.  scikit-learn is not
-available in this environment, so the algorithms are implemented here on top
-of numpy.  They are deliberately written for small inputs (tens of points,
-a handful of dimensions) — exactly the regime of the server-side filter.
+The paper clusters the per-client sign-statistics features with Mean-Shift,
+which finds the number of clusters itself, and trusts the largest cluster.
+scikit-learn is not available in this environment, so the algorithm is
+implemented here on top of numpy.  It has two fit paths: the dense fit
+(the paper default) and the binned fit (``bin_seeding=True``), which
+starts the shift iterations from occupied grid cells and is the path that
+scales to large cohorts.
 """
 
-from repro.clustering.kmeans import KMeans, kmeans_plus_plus_init
-from repro.clustering.meanshift import (
-    GridNeighborhood,
-    MeanShift,
-    estimate_bandwidth,
-    get_bin_seeds,
-)
-from repro.clustering.dbscan import DBSCAN
-from repro.clustering.agglomerative import AgglomerativeClustering
-from repro.clustering.metrics import (
-    davies_bouldin_score,
-    pairwise_distances,
-    silhouette_score,
-)
+from repro.clustering.meanshift import MeanShift, estimate_bandwidth, get_bin_seeds
+from repro.clustering.metrics import pairwise_distances
 
 __all__ = [
-    "KMeans",
-    "kmeans_plus_plus_init",
     "MeanShift",
-    "GridNeighborhood",
     "estimate_bandwidth",
     "get_bin_seeds",
-    "DBSCAN",
-    "AgglomerativeClustering",
-    "silhouette_score",
-    "davies_bouldin_score",
     "pairwise_distances",
 ]

@@ -28,6 +28,11 @@ BANDWIDTH_MAX_PAIRS = 500_000
 _BANDWIDTH_SEED = 0x51B5
 
 
+def _check_quantile(quantile: float) -> None:
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+
+
 def estimate_bandwidth(
     x: np.ndarray,
     *,
@@ -65,8 +70,7 @@ def estimate_bandwidth(
         rng: randomness for the pair sampling; ``None`` = the deterministic
             default stream.
     """
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+    _check_quantile(quantile)
     if max_pairs is not None and max_pairs < 1:
         raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -120,78 +124,14 @@ def _subsampled_bandwidth(
     return bandwidth
 
 
-#: Above this feature dimensionality the grid neighborhood degenerates
-#: (3**d neighbor cells) and :class:`MeanShift` falls back to dense
-#: distance computations.
-GRID_MAX_DIM = 8
-
-
-class GridNeighborhood:
-    """Floor-grid spatial index for fixed-radius range queries.
-
-    Samples are hashed into axis-aligned cells of ``cell_size``.  Every
-    point within ``cell_size`` of a query point lies in one of the
-    ``3**d`` cells adjacent to (or equal to) the query's cell, so a range
-    query of radius ``cell_size`` only has to consider those cells'
-    members — the same grid idea :func:`get_bin_seeds` uses for seeding,
-    applied to the per-iteration neighbourhood searches.  With Mean-Shift
-    the radius is the bandwidth and occupied cells are few, so the
-    per-iteration cost drops from ``O(n)`` distance evaluations per seed
-    to the candidate count of its neighbourhood.
-
-    Pruning is exact: candidates form a superset of the true in-radius
-    neighbours, and the caller re-checks real distances, so grid and
-    dense fits see identical neighbour sets (floating-point summation
-    order may differ — results are partition-equivalent, not bit-equal).
-    """
-
-    def __init__(self, x: np.ndarray, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        self.x = x
-        self.cell_size = float(cell_size)
-        cells = self.cell_of(x)
-        unique_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        counts = np.bincount(inverse, minlength=len(unique_cells))
-        self._members = np.split(order, np.cumsum(counts)[:-1])
-        self._lookup = {
-            tuple(int(c) for c in cell): index
-            for index, cell in enumerate(unique_cells)
-        }
-        dims = x.shape[1]
-        self._offsets = np.stack(
-            np.meshgrid(*([[-1, 0, 1]] * dims), indexing="ij"), axis=-1
-        ).reshape(-1, dims)
-
-    def cell_of(self, points: np.ndarray) -> np.ndarray:
-        """Integer cell coordinates of each row of ``points``."""
-        return np.floor(points / self.cell_size).astype(np.int64)
-
-    def candidates(self, cell: np.ndarray) -> np.ndarray:
-        """Sorted sample indices in the 3**d cells around ``cell``."""
-        groups = []
-        base = tuple(int(c) for c in cell)
-        for offset in self._offsets:
-            index = self._lookup.get(tuple(b + int(o) for b, o in zip(base, offset)))
-            if index is not None:
-                groups.append(self._members[index])
-        if not groups:
-            return np.empty(0, dtype=int)
-        return np.sort(np.concatenate(groups))
-
-
-def get_bin_seeds(
-    x: np.ndarray, bin_size: float, min_bin_freq: int = 1
-) -> np.ndarray:
+def get_bin_seeds(x: np.ndarray, bin_size: float) -> np.ndarray:
     """Seed points for binned Mean-Shift: occupied grid cells of ``bin_size``.
 
     Every sample is snapped to the nearest vertex of a regular grid with
-    spacing ``bin_size``; vertices holding at least ``min_bin_freq``
-    samples become seeds (sklearn's ``bin_seeding`` heuristic).  Returns
-    the original samples when binning would not reduce the seed count, so
-    callers never lose coverage on spread-out data.
+    spacing ``bin_size``; every occupied vertex becomes a seed (sklearn's
+    ``bin_seeding`` heuristic).  Returns the original samples when binning
+    would not reduce the seed count, so callers never lose coverage on
+    spread-out data.
     """
     if bin_size <= 0:
         raise ValueError(f"bin_size must be positive, got {bin_size}")
@@ -199,9 +139,8 @@ def get_bin_seeds(
     binned = np.round(x / bin_size)
     # np.unique sorts lexicographically, making the seed order (and thus
     # every downstream tie-break) platform-deterministic.
-    cells, counts = np.unique(binned, axis=0, return_counts=True)
-    seeds = cells[counts >= min_bin_freq] * bin_size
-    if len(seeds) == 0 or len(seeds) == len(x):
+    seeds = np.unique(binned, axis=0) * bin_size
+    if len(seeds) == len(x):
         return x.copy()
     return seeds
 
@@ -230,23 +169,11 @@ class MeanShift:
     against the unbinned path on SignGuard feature distributions; exact
     cluster *numbering* may differ.
 
-    With ``neighborhood="grid"`` the per-iteration range queries are pruned
-    through a :class:`GridNeighborhood` over the samples (cell size = the
-    bandwidth): each still-moving seed only measures distances to samples
-    in its 3**d surrounding cells instead of to all ``n``.  The pruning is
-    exact — the same neighbour sets are found — so the discovered partition
-    matches the dense fit up to floating-point summation order
-    (equivalence-tested on SignGuard feature distributions); this is the
-    axis that scales the clustering stage past ~1k clients.  Features with
-    more than :data:`GRID_MAX_DIM` dimensions silently fall back to dense
-    computation (the neighbour-cell count grows as ``3**d``).  Orthogonal
-    to ``bin_seeding`` — combine both for large cohorts.
-
-    ``bandwidth_max_pairs`` caps the pairs the bandwidth heuristic
-    evaluates (see :func:`estimate_bandwidth`); ``None`` keeps the exact
-    dense quantile up to ``MAX_DENSE_PAIRWISE`` samples and deterministic
-    seeded subsampling beyond, so the binned/grid configurations stay
-    subquadratic end to end at 10k+ cohorts.
+    The bandwidth heuristic is :func:`estimate_bandwidth` at ``quantile``.
+    The dense fit hands it the distance matrix the first shift iteration
+    needs anyway; the binned fit lets it subsample pairs past
+    :data:`~repro.utils.batch.MAX_DENSE_PAIRWISE` samples, so that path
+    stays subquadratic end to end at 10k+ cohorts.
 
     Attributes set by :meth:`fit`:
         cluster_centers_: one row per discovered mode.
@@ -262,62 +189,18 @@ class MeanShift:
         tol: float = 1e-5,
         quantile: float = 0.3,
         bin_seeding: bool = False,
-        min_bin_freq: int = 1,
-        neighborhood: str = "dense",
-        bandwidth_max_pairs: Optional[int] = None,
     ):
         if bandwidth is not None and bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if min_bin_freq < 1:
-            raise ValueError(f"min_bin_freq must be >= 1, got {min_bin_freq}")
-        if neighborhood not in {"dense", "grid"}:
-            raise ValueError(
-                f"neighborhood must be 'dense' or 'grid', got {neighborhood!r}"
-            )
-        if bandwidth_max_pairs is not None and bandwidth_max_pairs < 1:
-            raise ValueError(
-                f"bandwidth_max_pairs must be >= 1, got {bandwidth_max_pairs}"
-            )
+        _check_quantile(quantile)
         self.bandwidth = bandwidth
         self.max_iter = max_iter
         self.tol = tol
         self.quantile = quantile
         self.bin_seeding = bin_seeding
-        self.min_bin_freq = min_bin_freq
-        self.neighborhood = neighborhood
-        self.bandwidth_max_pairs = bandwidth_max_pairs
         self.cluster_centers_: Optional[np.ndarray] = None
         self.labels_: Optional[np.ndarray] = None
         self.n_clusters_: int = 0
-
-    def _grid_shift_once(
-        self,
-        points: np.ndarray,
-        x: np.ndarray,
-        bandwidth: float,
-        grid: GridNeighborhood,
-    ) -> np.ndarray:
-        """One shift step for every row of ``points``, grid-pruned.
-
-        Query points sharing a grid cell share their candidate set, so the
-        distance computations are batched per occupied query cell.
-        """
-        shifted = points.copy()
-        cells = grid.cell_of(points)
-        unique_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
-        for index in range(len(unique_cells)):
-            queries = np.flatnonzero(inverse == index)
-            candidates = grid.candidates(unique_cells[index])
-            if not len(candidates):
-                continue  # empty neighbourhood: the seed stays in place
-            distances = pairwise_distances(points[queries], x[candidates])
-            weights = (distances <= bandwidth).astype(np.float64)
-            counts = weights.sum(axis=1, keepdims=True)
-            populated = counts[:, 0] > 0
-            if populated.any():
-                means = (weights @ x[candidates]) / np.maximum(counts, 1.0)
-                shifted[queries[populated]] = means[populated]
-        return shifted
 
     def _shift(
         self,
@@ -325,38 +208,32 @@ class MeanShift:
         x: np.ndarray,
         bandwidth: float,
         first_distances: Optional[np.ndarray] = None,
-        grid: Optional[GridNeighborhood] = None,
     ) -> np.ndarray:
         """Run the shift iterations from ``seeds`` over the samples ``x``.
 
         Returns the converged seed positions.  ``first_distances`` lets the
         caller reuse a seed-to-sample distance matrix it computed anyway
         (the bandwidth heuristic's).  Seeds whose neighbourhood is empty
-        (possible for grid seeds in high dimensions) are left in place;
+        (possible for bin seeds in high dimensions) are left in place;
         they are discarded later because no sample labels to them before a
-        populated mode does.  With ``grid`` given, every iteration's range
-        queries go through the grid index instead of a dense
-        seed-to-sample distance matrix.
+        populated mode does.
         """
         points = seeds.copy()
         active = np.arange(len(points))
         for iteration in range(self.max_iter):
-            if grid is not None:
-                shifted = self._grid_shift_once(points[active], x, bandwidth, grid)
+            if iteration == 0 and first_distances is not None:
+                distances = first_distances
             else:
-                if iteration == 0 and first_distances is not None:
-                    distances = first_distances
-                else:
-                    distances = pairwise_distances(points[active], x)
-                within = distances <= bandwidth
-                weights = within.astype(np.float64)
-                counts = weights.sum(axis=1, keepdims=True)
-                populated = counts[:, 0] > 0
-                shifted = np.where(
-                    populated[:, None],
-                    (weights @ x) / np.maximum(counts, 1.0),
-                    points[active],
-                )
+                distances = pairwise_distances(points[active], x)
+            within = distances <= bandwidth
+            weights = within.astype(np.float64)
+            counts = weights.sum(axis=1, keepdims=True)
+            populated = counts[:, 0] > 0
+            shifted = np.where(
+                populated[:, None],
+                (weights @ x) / np.maximum(counts, 1.0),
+                points[active],
+            )
             step = np.linalg.norm(shifted - points[active], axis=1)
             movement = float(step.max()) if len(step) else 0.0
             points[active] = shifted
@@ -376,24 +253,10 @@ class MeanShift:
         if n_samples == 0:
             raise ValueError("cannot cluster an empty feature matrix")
         bandwidth = self.bandwidth
-        use_grid = self.neighborhood == "grid" and x.shape[1] <= GRID_MAX_DIM
         if self.bin_seeding:
             if bandwidth is None:
-                bandwidth = estimate_bandwidth(
-                    x, quantile=self.quantile, max_pairs=self.bandwidth_max_pairs
-                )
-            return self._fit_binned(x, bandwidth, use_grid=use_grid)
-
-        if use_grid:
-            # Grid-pruned range queries: the bandwidth heuristic subsamples
-            # pairs past its threshold, so no stage here is O(n²).
-            if bandwidth is None:
-                bandwidth = estimate_bandwidth(
-                    x, quantile=self.quantile, max_pairs=self.bandwidth_max_pairs
-                )
-            grid = GridNeighborhood(x, bandwidth)
-            points = self._shift(x, x, bandwidth, grid=grid)
-            return self._merge_modes(x, points, bandwidth)
+                bandwidth = estimate_bandwidth(x, quantile=self.quantile)
+            return self._fit_binned(x, bandwidth)
 
         # The seed matrix's self-distances serve both the bandwidth heuristic
         # and the first shift iteration — compute them once.
@@ -413,7 +276,7 @@ class MeanShift:
     def _merge_modes(
         self, x: np.ndarray, points: np.ndarray, bandwidth: float
     ) -> "MeanShift":
-        """Merge converged per-sample points into clusters (shared tail)."""
+        """Merge the dense fit's converged per-sample points into clusters."""
         n_samples = len(x)
 
         # Merge modes that landed within one bandwidth of each other.  Each
@@ -444,13 +307,10 @@ class MeanShift:
         self.n_clusters_ = len(center_indices)
         return self
 
-    def _fit_binned(
-        self, x: np.ndarray, bandwidth: float, *, use_grid: bool = False
-    ) -> "MeanShift":
+    def _fit_binned(self, x: np.ndarray, bandwidth: float) -> "MeanShift":
         """The ``bin_seeding=True`` path: shift grid seeds, label by mode."""
-        seeds = get_bin_seeds(x, bandwidth, self.min_bin_freq)
-        grid = GridNeighborhood(x, bandwidth) if use_grid else None
-        points = self._shift(seeds, x, bandwidth, grid=grid)
+        seeds = get_bin_seeds(x, bandwidth)
+        points = self._shift(seeds, x, bandwidth)
 
         # Rank converged seeds by how many samples they attract so the
         # densest modes found clusters first (sklearn's merge order), then
@@ -458,8 +318,7 @@ class MeanShift:
         intensity = (pairwise_distances(points, x) <= bandwidth).sum(axis=1)
         keep = intensity > 0  # grid seeds that never saw a sample
         points, intensity = points[keep], intensity[keep]
-        if len(points) == 0:  # pragma: no cover - binned seeds of samples
-            # can't all be empty with min_bin_freq=1; defensive single mode.
+        if len(points) == 0:  # pragma: no cover - defensive single mode
             points, intensity = x[:1].copy(), np.array([len(x)])
         order = np.argsort(-intensity, kind="stable")
         points = points[order]

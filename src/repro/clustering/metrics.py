@@ -1,4 +1,4 @@
-"""Distance utilities and internal cluster-quality metrics."""
+"""Euclidean distance matrix shared by Mean-Shift and its bandwidth heuristic."""
 
 from __future__ import annotations
 
@@ -23,77 +23,3 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray = None) -> np.ndarray:
     squared = x_sq + y_sq - 2.0 * (x @ y.T)
     np.maximum(squared, 0.0, out=squared)
     return np.sqrt(squared)
-
-
-def _validate_labels(x: np.ndarray, labels: np.ndarray) -> None:
-    if len(x) != len(labels):
-        raise ValueError(
-            f"features and labels must have the same length, "
-            f"got {len(x)} and {len(labels)}"
-        )
-
-
-def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette coefficient over all samples.
-
-    Returns 0.0 when there is only one cluster (silhouette is undefined),
-    which is the conventional neutral value for the filter's purposes.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels)
-    _validate_labels(x, labels)
-    unique = np.unique(labels)
-    if len(unique) < 2 or len(x) < 3:
-        return 0.0
-    distances = pairwise_distances(x)
-    scores = np.zeros(len(x))
-    for i in range(len(x)):
-        same = labels == labels[i]
-        same_count = int(same.sum())
-        if same_count <= 1:
-            scores[i] = 0.0
-            continue
-        a = distances[i, same].sum() / (same_count - 1)
-        b = np.inf
-        for label in unique:
-            if label == labels[i]:
-                continue
-            other = labels == label
-            b = min(b, distances[i, other].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
-    return float(np.mean(scores))
-
-
-def davies_bouldin_score(x: np.ndarray, labels: np.ndarray) -> float:
-    """Davies-Bouldin index (lower is better).
-
-    Returns 0.0 for a single cluster.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels)
-    _validate_labels(x, labels)
-    unique = np.unique(labels)
-    k = len(unique)
-    if k < 2:
-        return 0.0
-    centroids = np.vstack([x[labels == label].mean(axis=0) for label in unique])
-    scatters = np.array(
-        [
-            np.mean(np.linalg.norm(x[labels == label] - centroids[idx], axis=1))
-            for idx, label in enumerate(unique)
-        ]
-    )
-    centroid_distances = pairwise_distances(centroids)
-    ratios = np.zeros(k)
-    for i in range(k):
-        worst = 0.0
-        for j in range(k):
-            if i == j:
-                continue
-            denom = centroid_distances[i, j]
-            if denom == 0:
-                continue
-            worst = max(worst, (scatters[i] + scatters[j]) / denom)
-        ratios[i] = worst
-    return float(np.mean(ratios))

@@ -172,6 +172,14 @@ def euclidean_distance_feature(
     return distances
 
 
+def check_similarity(similarity: str) -> None:
+    """Reject a similarity feature other than the three variants' own."""
+    if similarity not in {"none", "cosine", "euclidean"}:
+        raise ValueError(
+            f"similarity must be 'none', 'cosine', or 'euclidean', got {similarity!r}"
+        )
+
+
 def extract_features(
     gradients: ArrayOrBatch,
     *,
@@ -192,6 +200,7 @@ def extract_features(
             in practice the previous round's aggregate.
         rng: randomness for the coordinate selection.
     """
+    check_similarity(similarity)
     batch = GradientBatch.wrap(gradients)
     rng = as_rng(rng)
     coordinates = select_random_coordinates(batch.dim, coordinate_fraction, rng)
@@ -204,10 +213,6 @@ def extract_features(
     elif similarity == "euclidean":
         features.append(euclidean_distance_feature(batch, reference)[:, None])
         names.append("euclidean_distance")
-    elif similarity != "none":
-        raise ValueError(
-            f"similarity must be 'none', 'cosine', or 'euclidean', got {similarity!r}"
-        )
 
     return GradientFeatures(
         matrix=np.hstack(features),

@@ -17,8 +17,8 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.clustering import DBSCAN, KMeans, MeanShift
-from repro.core.features import extract_features
+from repro.clustering import MeanShift
+from repro.core.features import check_similarity, extract_features
 from repro.utils.batch import ArrayOrBatch, GradientBatch
 from repro.utils.rng import RngLike, as_rng
 
@@ -110,21 +110,21 @@ class SignClusteringFilter(GradientFilter):
     """Sign-statistics clustering (Algorithm 2, Step 2).
 
     Extracts sign statistics (and optionally a similarity feature) on a
-    random coordinate subset, clusters the per-client feature vectors, and
-    trusts the largest cluster.
+    random coordinate subset, clusters the per-client feature vectors with
+    Mean-Shift, and trusts the largest cluster.  An unknown ``similarity``
+    or ``clustering`` and a ``bandwidth_quantile`` outside ``(0, 1]`` raise
+    ``ValueError`` here, before the first round runs.
 
     Args:
         similarity: ``"none"``, ``"cosine"``, or ``"euclidean"`` — selects the
             plain / -Sim / -Dist variants.
         coordinate_fraction: fraction of coordinates used for sign statistics.
-        clustering: ``"meanshift"`` (paper default, adaptive cluster count),
-            ``"meanshift_binned"`` (grid-seeded Mean-Shift — same partition
-            on SignGuard feature distributions at a fraction of the
-            shift-iteration cost, for large cohorts), ``"meanshift_grid"``
-            (grid-seeded *and* grid-pruned range queries — the scaling
-            configuration for cohorts past ~1k clients), ``"kmeans"`` (two
-            clusters), or ``"dbscan"``.
-        bandwidth_quantile: Mean-Shift bandwidth heuristic quantile.
+        clustering: ``"meanshift"`` (the paper's dense fit) or
+            ``"meanshift_binned"`` (grid-seeded Mean-Shift — the same
+            partition on SignGuard feature distributions at a fraction of
+            the shift-iteration cost, for large cohorts).
+        bandwidth_quantile: Mean-Shift bandwidth heuristic quantile, in
+            ``(0, 1]``.
     """
 
     name = "sign_clustering"
@@ -137,45 +137,27 @@ class SignClusteringFilter(GradientFilter):
         clustering: str = "meanshift",
         bandwidth_quantile: float = 0.5,
     ):
-        if clustering not in {
-            "meanshift",
-            "meanshift_binned",
-            "meanshift_grid",
-            "kmeans",
-            "dbscan",
-        }:
+        if clustering not in {"meanshift", "meanshift_binned"}:
             raise ValueError(
-                "clustering must be 'meanshift', 'meanshift_binned', "
-                f"'meanshift_grid', 'kmeans', or 'dbscan', got {clustering!r}"
+                "clustering must be 'meanshift' or 'meanshift_binned', "
+                f"got {clustering!r}"
             )
+        check_similarity(similarity)
         self.similarity = similarity
         self.coordinate_fraction = coordinate_fraction
         self.clustering = clustering
         self.bandwidth_quantile = bandwidth_quantile
+        self._model = MeanShift(
+            quantile=bandwidth_quantile,
+            bin_seeding=clustering == "meanshift_binned",
+        )
 
-    def _cluster(self, features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _cluster(self, features: np.ndarray) -> np.ndarray:
         """Return the indices of the largest cluster of the feature rows."""
         n = len(features)
         if n <= 2:
             return np.arange(n)
-        if self.clustering == "kmeans":
-            model = KMeans(n_clusters=2, rng=rng)
-            labels = model.fit_predict(features)
-            counts = np.bincount(labels)
-            return np.flatnonzero(labels == np.argmax(counts))
-        if self.clustering == "dbscan":
-            # Scale eps with the spread of the features.
-            spread = float(np.median(np.std(features, axis=0))) or 1e-3
-            model = DBSCAN(eps=max(1.5 * spread, 1e-3), min_samples=max(n // 4, 2))
-            model.fit(features)
-            return model.largest_cluster()
-        model = MeanShift(
-            quantile=self.bandwidth_quantile,
-            bin_seeding=self.clustering in {"meanshift_binned", "meanshift_grid"},
-            neighborhood="grid" if self.clustering == "meanshift_grid" else "dense",
-        )
-        model.fit(features)
-        return model.largest_cluster()
+        return self._model.fit(features).largest_cluster()
 
     def apply(
         self,
@@ -192,7 +174,7 @@ class SignClusteringFilter(GradientFilter):
             reference=reference,
             rng=rng,
         )
-        selected = self._cluster(features.matrix, rng)
+        selected = self._cluster(features.matrix)
         return FilterDecision(
             selected_indices=np.sort(selected),
             info={

@@ -44,7 +44,14 @@ class SignGuardPipeline:
             plain / -Sim / -Dist feature sets.
         coordinate_fraction: fraction of coordinates used for sign statistics
             (the paper uses 10%).
-        clustering: clustering backend for the sign filter.
+        clustering: Mean-Shift fit of the sign filter, ``"meanshift"`` (the
+            paper's dense fit) or ``"meanshift_binned"`` (the scaling path).
+        bandwidth_quantile: Mean-Shift bandwidth heuristic quantile, in
+            ``(0, 1]``.
+
+    Both filters are built here, so their argument checks (see
+    :class:`~repro.core.filters.SignClusteringFilter`) raise before any
+    round runs.
     """
 
     def __init__(

@@ -23,7 +23,10 @@ class SignGuard(Aggregator):
         lower, upper: relative norm bounds (paper defaults 0.1 and 3.0).
         coordinate_fraction: fraction of coordinates for sign statistics
             (paper default 10%).
-        clustering: clustering backend, ``"meanshift"`` by default.
+        clustering: Mean-Shift fit, ``"meanshift"`` (default) or
+            ``"meanshift_binned"``.
+        bandwidth_quantile: Mean-Shift bandwidth heuristic quantile, in
+            ``(0, 1]``.
         use_norm_threshold / use_sign_clustering / use_norm_clipping:
             component toggles used by the Table III ablation.
     """

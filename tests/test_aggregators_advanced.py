@@ -1,14 +1,9 @@
-"""Tests for DnC, signSGD majority vote, centered clipping, and FLTrust."""
+"""Tests for the Divide-and-Conquer (DnC) aggregator."""
 
 import numpy as np
 import pytest
 
-from repro.aggregators import (
-    CenteredClippingAggregator,
-    DivideAndConquerAggregator,
-    FLTrustAggregator,
-    SignSGDMajorityAggregator,
-)
+from repro.aggregators import DivideAndConquerAggregator
 from repro.aggregators.base import ServerContext
 from repro.aggregators.dnc import power_iteration_top_direction
 
@@ -170,82 +165,3 @@ class TestDnCPower:
         np.testing.assert_array_equal(
             power.selected_indices, full.selected_indices
         )
-
-
-class TestSignSGD:
-    def test_majority_sign_direction(self, context):
-        gradients = np.array([[1.0, -1.0]] * 7 + [[-1.0, 1.0]] * 3)
-        result = SignSGDMajorityAggregator(scale=1.0)(gradients, context)
-        np.testing.assert_array_equal(np.sign(result.gradient), [1.0, -1.0])
-
-    def test_default_scale_uses_median_norm(self, benign_gradients, context):
-        result = SignSGDMajorityAggregator()(benign_gradients, context)
-        assert result.info["magnitude"] > 0
-
-    def test_tie_coordinates_are_zero(self, context):
-        gradients = np.array([[1.0], [-1.0]])
-        result = SignSGDMajorityAggregator(scale=1.0)(gradients, context)
-        assert result.gradient[0] == 0.0
-
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            SignSGDMajorityAggregator(scale=0.0)
-
-
-class TestCenteredClipping:
-    def test_robust_to_large_outlier(self, population_with_outliers, context):
-        aggregator = CenteredClippingAggregator(clip_threshold=1.0)
-        result = aggregator(population_with_outliers, context)
-        honest_mean = population_with_outliers[3:].mean(axis=0)
-        malicious_mean = population_with_outliers[:3].mean(axis=0)
-        assert np.linalg.norm(result.gradient - honest_mean) < np.linalg.norm(
-            result.gradient - malicious_mean
-        )
-
-    def test_uses_previous_gradient_as_center(self, benign_gradients, rng):
-        previous = benign_gradients.mean(axis=0)
-        context = ServerContext.make(rng=rng, previous_gradient=previous)
-        result = CenteredClippingAggregator(clip_threshold=1e-9)(
-            benign_gradients, context
-        )
-        np.testing.assert_allclose(result.gradient, previous, atol=1e-6)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            CenteredClippingAggregator(clip_threshold=0.0)
-        with pytest.raises(ValueError):
-            CenteredClippingAggregator(num_iterations=0)
-
-
-class TestFLTrust:
-    def test_zero_trust_for_opposite_gradients(self, rng):
-        reference = np.ones(20)
-        honest = np.tile(reference, (8, 1)) + rng.normal(0, 0.05, size=(8, 20))
-        malicious = -np.tile(reference, (2, 1))
-        context = ServerContext.make(rng=rng, reference_gradient=reference)
-        result = FLTrustAggregator()(np.vstack([malicious, honest]), context)
-        assert set(result.selected_indices).isdisjoint({0, 1})
-        np.testing.assert_allclose(result.info["trust_scores"][:2], 0.0)
-
-    def test_aggregate_has_reference_scale(self, rng):
-        reference = np.ones(20)
-        clients = 5.0 * np.tile(reference, (6, 1))
-        context = ServerContext.make(rng=rng, reference_gradient=reference)
-        result = FLTrustAggregator()(clients, context)
-        assert np.linalg.norm(result.gradient) == pytest.approx(
-            np.linalg.norm(reference), rel=1e-6
-        )
-
-    def test_without_reference_falls_back_to_median_proxy(
-        self, benign_gradients, context
-    ):
-        result = FLTrustAggregator()(benign_gradients, context)
-        assert np.all(np.isfinite(result.gradient))
-
-    def test_degenerate_reference_falls_back_to_mean(self, benign_gradients, rng):
-        context = ServerContext.make(
-            rng=rng, reference_gradient=np.zeros(benign_gradients.shape[1])
-        )
-        result = FLTrustAggregator()(benign_gradients, context)
-        np.testing.assert_allclose(result.gradient, benign_gradients.mean(axis=0))
-        assert result.info.get("degenerate_reference") is True

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.core  # noqa: F401  (registers the SignGuard aggregators)
 from repro.aggregators import (
+    AGGREGATOR_REGISTRY,
     CoordinateMedianAggregator,
     GeometricMedianAggregator,
     MeanAggregator,
@@ -138,26 +140,9 @@ class TestNormUtilities:
 
 
 class TestAggregatorFactory:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "mean",
-            "trimmed_mean",
-            "trmean",
-            "median",
-            "geomed",
-            "krum",
-            "multi_krum",
-            "bulyan",
-            "dnc",
-            "signsgd",
-            "centered_clipping",
-            "fltrust",
-            "signguard",
-            "signguard_sim",
-            "signguard_dist",
-        ],
-    )
+    # Every registered name and alias: a dangling entry fails here, and a
+    # new rule cannot skip the test.
+    @pytest.mark.parametrize("name", AGGREGATOR_REGISTRY.names())
     def test_build_every_registered_rule(self, name, benign_gradients, context):
         aggregator = build_aggregator(name)
         result = aggregator(benign_gradients, context)

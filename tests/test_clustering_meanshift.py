@@ -103,21 +103,6 @@ class TestBandwidthSubsampling:
         # just like on the dense path.
         assert estimate_bandwidth(np.ones((50, 3)), max_pairs=10) == 1e-3
 
-    def test_meanshift_validates_bandwidth_max_pairs(self):
-        with pytest.raises(ValueError, match="bandwidth_max_pairs"):
-            MeanShift(bandwidth_max_pairs=0)
-
-    def test_meanshift_full_budget_matches_default_fit(self, feature_blobs):
-        n = len(feature_blobs)
-        baseline = MeanShift(quantile=0.5).fit(feature_blobs)
-        capped = MeanShift(
-            quantile=0.5, bandwidth_max_pairs=n * (n - 1) // 2
-        ).fit(feature_blobs)
-        np.testing.assert_array_equal(capped.labels_, baseline.labels_)
-        np.testing.assert_array_equal(
-            capped.cluster_centers_, baseline.cluster_centers_
-        )
-
 
 class TestMeanShift:
     def test_discovers_two_clusters(self, feature_blobs):
@@ -165,6 +150,11 @@ class TestMeanShift:
         with pytest.raises(ValueError):
             MeanShift(bandwidth=-1.0)
 
+    def test_quantile_outside_unit_interval_rejected_at_construction(self):
+        # Rejected by the constructor, not inside the first fit.
+        with pytest.raises(ValueError, match=r"quantile must be in \(0, 1\]"):
+            MeanShift(quantile=1.5)
+
     def test_largest_cluster_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             MeanShift().largest_cluster()
@@ -184,11 +174,6 @@ class TestBinSeeding:
         expected = {(0.0, 0.0), (1.0, 1.0)}
         assert {tuple(seed) for seed in seeds} == expected
 
-    def test_get_bin_seeds_min_bin_freq_filters_sparse_cells(self):
-        x = np.array([[0.0, 0.0], [0.05, 0.0], [3.0, 3.0]])
-        seeds = get_bin_seeds(x, bin_size=0.5, min_bin_freq=2)
-        assert {tuple(seed) for seed in seeds} == {(0.0, 0.0)}
-
     def test_get_bin_seeds_degenerate_returns_points(self):
         # Binning that cannot reduce the seed count returns the samples.
         x = np.array([[0.0, 0.0], [10.0, 10.0]])
@@ -198,10 +183,6 @@ class TestBinSeeding:
     def test_get_bin_seeds_invalid_bin_size(self):
         with pytest.raises(ValueError, match="bin_size"):
             get_bin_seeds(np.zeros((2, 2)), bin_size=0.0)
-
-    def test_invalid_min_bin_freq_rejected(self):
-        with pytest.raises(ValueError, match="min_bin_freq"):
-            MeanShift(bin_seeding=True, min_bin_freq=0)
 
     def test_equivalent_partition_on_signguard_features(self):
         # The acceptance contract: on SignGuard's sign-statistics feature
@@ -282,107 +263,3 @@ class TestBinSeeding:
 
         with pytest.raises(ValueError, match="clustering"):
             SignClusteringFilter(clustering="meanshift_turbo")
-
-
-class TestGridNeighborhood:
-    """MeanShift(neighborhood="grid"): grid-pruned per-iteration range queries."""
-
-    def _canonical(self, labels):
-        seen = {}
-        return tuple(seen.setdefault(int(label), len(seen)) for label in labels)
-
-    def test_candidates_are_a_superset_of_the_true_neighbourhood(self):
-        from repro.clustering import GridNeighborhood
-
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(200, 3))
-        radius = 0.7
-        grid = GridNeighborhood(x, radius)
-        for query in x[:20]:
-            candidates = grid.candidates(grid.cell_of(query[None, :])[0])
-            true_neighbours = np.flatnonzero(
-                np.linalg.norm(x - query, axis=1) <= radius
-            )
-            assert np.all(np.isin(true_neighbours, candidates))
-
-    def test_invalid_cell_size_rejected(self):
-        from repro.clustering import GridNeighborhood
-
-        with pytest.raises(ValueError, match="cell_size"):
-            GridNeighborhood(np.zeros((3, 2)), 0.0)
-
-    def test_invalid_neighborhood_rejected(self):
-        with pytest.raises(ValueError, match="neighborhood"):
-            MeanShift(neighborhood="kdtree")
-
-    def test_equivalent_partition_on_signguard_features(self):
-        # The acceptance contract of the satellite: grid-pruned range
-        # queries must discover the same partition as the unpruned fit
-        # (pruning is exact; only summation order differs).
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            features = np.vstack(
-                [
-                    rng.normal([0.6, 0.05, 0.35], 0.02, size=(80, 3)),
-                    rng.normal([0.3, 0.05, 0.65], 0.02, size=(20, 3)),
-                ]
-            )
-            dense = MeanShift(quantile=0.5).fit(features)
-            grid = MeanShift(quantile=0.5, neighborhood="grid").fit(features)
-            assert grid.n_clusters_ == dense.n_clusters_, seed
-            assert self._canonical(grid.labels_) == self._canonical(
-                dense.labels_
-            ), seed
-            np.testing.assert_array_equal(
-                grid.largest_cluster(), dense.largest_cluster()
-            )
-
-    def test_equivalent_combined_with_bin_seeding(self):
-        rng = np.random.default_rng(7)
-        features = np.vstack(
-            [
-                rng.normal([0.6, 0.05, 0.35], 0.02, size=(160, 3)),
-                rng.normal([0.3, 0.05, 0.65], 0.02, size=(40, 3)),
-            ]
-        )
-        binned = MeanShift(quantile=0.5, bin_seeding=True).fit(features)
-        both = MeanShift(
-            quantile=0.5, bin_seeding=True, neighborhood="grid"
-        ).fit(features)
-        assert self._canonical(both.labels_) == self._canonical(binned.labels_)
-        np.testing.assert_array_equal(
-            both.largest_cluster(), binned.largest_cluster()
-        )
-
-    def test_high_dimensional_features_fall_back_to_dense(self):
-        # 3**d neighbour cells degenerate past GRID_MAX_DIM dims: the fit
-        # must silently use dense distances and still produce a partition.
-        rng = np.random.default_rng(1)
-        features = rng.normal(size=(30, 12))
-        dense = MeanShift(bandwidth=2.0).fit(features)
-        grid = MeanShift(bandwidth=2.0, neighborhood="grid").fit(features)
-        assert self._canonical(grid.labels_) == self._canonical(dense.labels_)
-
-    def test_identical_points_one_cluster(self):
-        features = np.full((24, 3), 0.5)
-        model = MeanShift(neighborhood="grid").fit(features)
-        assert model.n_clusters_ == 1
-
-    def test_filter_backend_matches_unpruned_selection(self):
-        from repro.core.filters import SignClusteringFilter
-        from repro.utils.batch import GradientBatch
-
-        rng = np.random.default_rng(3)
-        signal = rng.normal(0.05, 1.0, size=500)
-        honest = signal[None, :] + rng.normal(0, 0.3, size=(40, 500))
-        malicious = -signal[None, :] + rng.normal(0, 0.05, size=(10, 500))
-        gradients = GradientBatch(np.vstack([honest, malicious]))
-        plain = SignClusteringFilter(clustering="meanshift").apply(
-            gradients, rng=np.random.default_rng(0)
-        )
-        pruned = SignClusteringFilter(clustering="meanshift_grid").apply(
-            gradients, rng=np.random.default_rng(0)
-        )
-        np.testing.assert_array_equal(
-            plain.selected_indices, pruned.selected_indices
-        )

@@ -1,9 +1,9 @@
-"""Tests for distance utilities and cluster-quality metrics."""
+"""Tests for the pairwise-distance utility."""
 
 import numpy as np
 import pytest
 
-from repro.clustering import davies_bouldin_score, pairwise_distances, silhouette_score
+from repro.clustering import pairwise_distances
 
 
 class TestPairwiseDistances:
@@ -25,44 +25,3 @@ class TestPairwiseDistances:
     def test_no_negative_values_from_cancellation(self):
         x = np.array([[1e8, 1e8], [1e8, 1e8 + 1e-4]])
         assert np.all(pairwise_distances(x) >= 0)
-
-
-class TestSilhouetteScore:
-    def test_well_separated_clusters_score_high(self, rng):
-        x = np.vstack(
-            [rng.normal(0, 0.05, size=(10, 2)), rng.normal(5, 0.05, size=(10, 2))]
-        )
-        labels = np.array([0] * 10 + [1] * 10)
-        assert silhouette_score(x, labels) > 0.9
-
-    def test_random_labels_score_low(self, rng):
-        x = rng.normal(size=(20, 2))
-        labels = rng.integers(0, 2, size=20)
-        assert silhouette_score(x, labels) < 0.5
-
-    def test_single_cluster_returns_zero(self, rng):
-        x = rng.normal(size=(10, 2))
-        assert silhouette_score(x, np.zeros(10, dtype=int)) == 0.0
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            silhouette_score(rng.normal(size=(5, 2)), np.zeros(4, dtype=int))
-
-
-class TestDaviesBouldinScore:
-    def test_separated_clusters_score_lower_than_overlapping(self, rng):
-        labels = np.array([0] * 10 + [1] * 10)
-        separated = np.vstack(
-            [rng.normal(0, 0.1, size=(10, 2)), rng.normal(10, 0.1, size=(10, 2))]
-        )
-        overlapping = np.vstack(
-            [rng.normal(0, 1.0, size=(10, 2)), rng.normal(0.5, 1.0, size=(10, 2))]
-        )
-        assert davies_bouldin_score(separated, labels) < davies_bouldin_score(
-            overlapping, labels
-        )
-
-    def test_single_cluster_returns_zero(self, rng):
-        assert (
-            davies_bouldin_score(rng.normal(size=(8, 2)), np.zeros(8, dtype=int)) == 0.0
-        )

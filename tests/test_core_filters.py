@@ -55,12 +55,11 @@ class TestSignClusteringDegenerateInputs:
     """Degenerate feature geometries must never crash or empty the round.
 
     Identical gradient rows produce identical feature rows — the zero-
-    bandwidth case for Mean-Shift (``estimate_bandwidth``'s positive floor)
-    and the single-dense-cluster case for DBSCAN — and mutually distant
-    feature rows exercise DBSCAN's all-noise fallback.
+    bandwidth case for both Mean-Shift fits (``estimate_bandwidth``'s
+    positive floor).
     """
 
-    @pytest.mark.parametrize("clustering", ["meanshift", "dbscan", "kmeans"])
+    @pytest.mark.parametrize("clustering", ["meanshift", "meanshift_binned"])
     def test_identical_gradients_select_everyone(self, clustering):
         gradients = np.tile(np.linspace(-1.0, 1.0, 50), (6, 1))
         decision = SignClusteringFilter(clustering=clustering).apply(
@@ -75,18 +74,6 @@ class TestSignClusteringDegenerateInputs:
         )
         np.testing.assert_array_equal(decision.selected_indices, np.arange(5))
 
-    def test_dbscan_all_noise_keeps_everyone(self):
-        # All-positive / all-negative / all-zero gradients map to the three
-        # corners of the sign-fraction simplex — mutually farther apart than
-        # the spread-derived eps, so DBSCAN labels every client noise and
-        # the largest-cluster fallback keeps the whole round.
-        dim = 90
-        gradients = np.vstack([np.ones(dim), -np.ones(dim), np.zeros(dim)])
-        decision = SignClusteringFilter(clustering="dbscan").apply(
-            gradients, rng=np.random.default_rng(0)
-        )
-        np.testing.assert_array_equal(decision.selected_indices, np.arange(3))
-
 
 class TestSignClusteringFilter:
     @pytest.fixture
@@ -97,7 +84,7 @@ class TestSignClusteringFilter:
         flipped = -honest[:4]
         return np.vstack([honest, flipped])
 
-    @pytest.mark.parametrize("clustering", ["meanshift", "kmeans", "dbscan"])
+    @pytest.mark.parametrize("clustering", ["meanshift", "meanshift_binned"])
     def test_majority_cluster_is_honest(
         self, gradients_with_sign_flipped, clustering, rng
     ):
@@ -136,8 +123,9 @@ class TestSignClusteringFilter:
         assert len(selected & set(range(16, 20))) <= 1
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SignClusteringFilter(clustering="spectral")
+        for clustering in ("spectral", "kmeans", "dbscan", "meanshift_grid"):
+            with pytest.raises(ValueError, match="clustering"):
+                SignClusteringFilter(clustering=clustering)
 
     def test_info_exposes_features(self, benign_gradients, rng):
         decision = SignClusteringFilter().apply(benign_gradients, rng=rng)

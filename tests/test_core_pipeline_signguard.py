@@ -45,6 +45,11 @@ class TestSignGuardPipeline:
                 use_norm_clipping=False,
             )
 
+    def test_unknown_similarity_rejected_at_construction(self):
+        # Rejected before any round runs, not inside the first aggregate.
+        with pytest.raises(ValueError, match="similarity must be"):
+            SignGuardPipeline(similarity="cos")
+
     def test_aggregate_returns_expected_keys(self, realistic_gradients, rng):
         outcome = SignGuardPipeline().aggregate(realistic_gradients, rng=rng)
         assert set(outcome) == {"gradient", "selected_indices", "info"}
@@ -132,6 +137,11 @@ class TestSignGuardAggregators:
         result = SignGuardSim()(submitted, context)
         byzantine_selected = set(result.selected_indices) & set(range(4))
         assert len(byzantine_selected) <= 1
+
+    def test_bandwidth_quantile_outside_unit_interval_rejected(self):
+        # Rejected before any round runs, not inside the first aggregate.
+        with pytest.raises(ValueError, match=r"quantile must be in \(0, 1\]"):
+            SignGuard(bandwidth_quantile=0.0)
 
     def test_variant_names_and_similarity(self):
         assert SignGuard().similarity == "none"
