@@ -7,7 +7,7 @@ ignorance of the exact number of malicious clients.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ def estimate_bandwidth(
     x: np.ndarray,
     *,
     quantile: float = 0.3,
-    distances: Optional[np.ndarray] = None,
     max_pairs: Optional[int] = None,
     rng: RngLike = None,
 ) -> float:
@@ -47,6 +46,13 @@ def estimate_bandwidth(
     the standard heuristic for Mean-Shift on small feature sets.  A strictly
     positive floor avoids a degenerate zero bandwidth when many points
     coincide (e.g. identical malicious feature vectors).
+
+    The exact quantile computes distances between *distinct* rows only, so
+    a feature matrix whose rows repeat (SignGuard's lattice-valued sign
+    fractions, colluding clients' identical gradients) costs ``O(u²·d)``
+    for ``u`` distinct rows.  The quantile itself still reads all
+    ``n(n-1)/2`` pair values: it equals the quantile over the ``n x n``
+    matrix rebuilt from the distinct rows' distances.
 
     **Large cohorts.** The exact quantile is O(n²) time *and* memory.  When
     the pair count exceeds ``max_pairs`` the estimator switches to the
@@ -58,15 +64,11 @@ def estimate_bandwidth(
     ``max_pairs=None`` the sampler auto-engages above
     :data:`~repro.utils.batch.MAX_DENSE_PAIRWISE` rows (with the
     :data:`BANDWIDTH_MAX_PAIRS` budget); at or below the threshold the
-    historical dense path runs unchanged.
+    exact quantile runs.
 
     Args:
-        distances: optional precomputed pairwise distance matrix of ``x``
-            (:meth:`MeanShift.fit` passes the matrix it needs anyway, so the
-            distances are computed exactly once per fit).  Disables
-            subsampling — the O(n²) cost is already paid.
         max_pairs: cap on evaluated pairs before the sampler engages.
-            ``None`` = auto (dense up to ``MAX_DENSE_PAIRWISE`` rows).
+            ``None`` = auto (exact up to ``MAX_DENSE_PAIRWISE`` rows).
         rng: randomness for the pair sampling; ``None`` = the deterministic
             default stream.
     """
@@ -77,20 +79,13 @@ def estimate_bandwidth(
     n = len(x)
     if n < 2:
         return 1.0
-    all_pairs = n * (n - 1) // 2
-    if distances is None:
-        budget = max_pairs
-        if budget is None and n > MAX_DENSE_PAIRWISE:
-            budget = BANDWIDTH_MAX_PAIRS
-        if budget is not None and all_pairs > budget:
-            return _subsampled_bandwidth(x, quantile, budget, rng)
-        distances = pairwise_distances(x)
-    upper = distances[np.triu_indices(n, k=1)]
-    bandwidth = float(np.quantile(upper, quantile))
-    if bandwidth <= 0.0:
-        positive = upper[upper > 0]
-        bandwidth = float(positive.min()) if len(positive) else 1e-3
-    return bandwidth
+    budget = max_pairs
+    if budget is None and n > MAX_DENSE_PAIRWISE:
+        budget = BANDWIDTH_MAX_PAIRS
+    if budget is not None and n * (n - 1) // 2 > budget:
+        return _subsampled_bandwidth(x, quantile, budget, rng)
+    first, counts, _ = _distinct_rows(x)
+    return _pair_quantile(pairwise_distances(x[first]), counts, quantile)
 
 
 def _subsampled_bandwidth(
@@ -115,11 +110,62 @@ def _subsampled_bandwidth(
     m = max(int((1.0 + np.sqrt(1.0 + 8.0 * max_pairs)) / 2.0), 2)
     m = min(m, n)
     rows = np.sort(rng.choice(n, size=m, replace=False))
-    distances = pairwise_distances(x[rows])
-    sampled = distances[np.triu_indices(m, k=1)]
-    bandwidth = float(np.quantile(sampled, quantile))
+    return _pair_quantile(
+        pairwise_distances(x[rows]), np.ones(m, dtype=np.intp), quantile
+    )
+
+
+def _distinct_rows(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of ``x`` by exact (bytewise) equality.
+
+    Returns ``(first, counts, inverse)``: the index of each distinct row's
+    first occurrence, in ascending order; how many rows equal it; and each
+    row's distinct index, so ``x[first][inverse]`` rebuilds ``x``.  Every
+    row is viewed as one opaque ``np.void`` scalar so that a single 1-D
+    ``np.unique`` groups them; rows it calls equal are bit-identical.
+    """
+    n = len(x)
+    if x.shape[1] == 0:  # zero-width rows are all the same row
+        return np.zeros(1, np.intp), np.array([n]), np.zeros(n, np.intp)
+    x = np.ascontiguousarray(x)
+    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).reshape(n)
+    _, first, inverse, counts = np.unique(
+        rows, return_index=True, return_inverse=True, return_counts=True
+    )
+    # np.unique orders the groups by their bytes; renumber them by first
+    # occurrence, the order in which a scan over the samples meets them.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], counts[order], rank[inverse.reshape(n)]
+
+
+def _pair_quantile(
+    distances: np.ndarray, counts: np.ndarray, quantile: float
+) -> float:
+    """Bandwidth quantile over every sample pair, read from distinct rows.
+
+    ``distances`` is the matrix between the ``u`` distinct rows and
+    ``counts`` their multiplicities, ``n`` in total.  The multiset of all
+    ``n(n-1)/2`` sample pairs holds a distinct pair ``(a, b)`` ``counts[a]
+    * counts[b]`` times, and ``distances[a, a]``, the distance between two
+    copies of row ``a``, ``counts[a] * (counts[a] - 1) / 2`` times.  It is
+    expanded only when rows repeat, so all-distinct input takes the
+    matrix's upper triangle as is.
+    """
+    n = int(counts.sum())
+    if n < 2:
+        return 1.0
+    rows, cols = np.triu_indices(len(counts), k=1)
+    pairs = distances[rows, cols]
+    if len(counts) < n:
+        pairs = np.repeat(
+            np.concatenate([pairs, np.diagonal(distances)]),
+            np.concatenate([counts[rows] * counts[cols], counts * (counts - 1) // 2]),
+        )
+    bandwidth = float(np.quantile(pairs, quantile))
     if bandwidth <= 0.0:
-        positive = sampled[sampled > 0]
+        positive = pairs[pairs > 0]
         bandwidth = float(positive.min()) if len(positive) else 1e-3
     return bandwidth
 
@@ -169,9 +215,19 @@ class MeanShift:
     against the unbinned path on SignGuard feature distributions; exact
     cluster *numbering* may differ.
 
-    The bandwidth heuristic is :func:`estimate_bandwidth` at ``quantile``.
-    The dense fit hands it the distance matrix the first shift iteration
-    needs anyway; the binned fit lets it subsample pairs past
+    The dense fit shifts and merges each *distinct* feature row once:
+    identical rows follow identical trajectories, so every duplicate takes
+    its first occurrence's label, even where BLAS rounding puts two
+    identical modes farther apart than a near-zero bandwidth.  It costs
+    ``O(u²·d)`` once plus ``O(u·n·d)`` per shift iteration for ``u``
+    distinct rows.  SignGuard's features have few: their sign fractions
+    lie on a ``1/m`` lattice for ``m`` sampled coordinates, and colluding
+    attackers submit identical rows.
+
+    The bandwidth heuristic is :func:`estimate_bandwidth`'s exact quantile
+    at ``quantile``.  The dense fit computes it from the distinct-row
+    distance matrix that its first shift iteration reuses; the binned fit
+    calls :func:`estimate_bandwidth`, which subsamples pairs past
     :data:`~repro.utils.batch.MAX_DENSE_PAIRWISE` samples, so that path
     stays subquadratic end to end at 10k+ cohorts.
 
@@ -258,45 +314,58 @@ class MeanShift:
                 bandwidth = estimate_bandwidth(x, quantile=self.quantile)
             return self._fit_binned(x, bandwidth)
 
-        # The seed matrix's self-distances serve both the bandwidth heuristic
-        # and the first shift iteration — compute them once.
-        seed_distances = pairwise_distances(x)
+        # Identical rows follow identical shift trajectories, so each
+        # distinct row is shifted once.  The distances between distinct
+        # rows serve both the bandwidth heuristic and the first shift
+        # iteration — compute them once.
+        first, counts, inverse = _distinct_rows(x)
+        seeds = x if len(first) == n_samples else x[first]
+        seed_distances = pairwise_distances(seeds)
         if bandwidth is None:
-            bandwidth = estimate_bandwidth(
-                x, quantile=self.quantile, distances=seed_distances
-            )
+            bandwidth = _pair_quantile(seed_distances, counts, self.quantile)
+        if len(first) < n_samples:
+            seed_distances = seed_distances[:, inverse]
 
-        # Shift every point towards the local mean until convergence.  Only
-        # points that still move participate in the distance computation.
-        # (Every point is within the bandwidth of itself, so neighbourhoods
+        # Shift every seed towards the local mean until convergence.  Only
+        # seeds that still move participate in the distance computation.
+        # (Every seed is within the bandwidth of itself, so neighbourhoods
         # are never empty on this path.)
-        points = self._shift(x, x, bandwidth, first_distances=seed_distances)
-        return self._merge_modes(x, points, bandwidth)
+        points = self._shift(seeds, x, bandwidth, first_distances=seed_distances)
+        return self._merge_modes(x, points, bandwidth, inverse)
 
     def _merge_modes(
-        self, x: np.ndarray, points: np.ndarray, bandwidth: float
+        self,
+        x: np.ndarray,
+        points: np.ndarray,
+        bandwidth: float,
+        inverse: np.ndarray,
     ) -> "MeanShift":
-        """Merge the dense fit's converged per-sample points into clusters."""
-        n_samples = len(x)
+        """Merge the dense fit's converged distinct-row modes into clusters.
 
+        ``points[a]`` is the converged mode of distinct row ``a`` and
+        ``inverse`` maps every sample to its distinct row.
+        """
         # Merge modes that landed within one bandwidth of each other.  Each
-        # point joins the earliest-created center within the bandwidth; a
-        # point with no such center founds a new one.  The pairwise distances
-        # between converged points are computed in one vectorized pass; the
-        # sequential scan over rows only indexes into that matrix.
+        # mode joins the earliest-created center within the bandwidth; a
+        # mode with no such center founds a new one.  Modes are scanned in
+        # their rows' first-occurrence order, so a duplicate sample gets
+        # the label a scan over every sample gives its first occurrence.
+        # The pairwise distances between modes are computed in one
+        # vectorized pass; the sequential scan only indexes into them.
         mode_distances = pairwise_distances(points)
-        labels = np.full(n_samples, -1, dtype=int)
+        mode_labels = np.full(len(points), -1, dtype=int)
         center_indices: list = []
-        for i in range(n_samples):
+        for i in range(len(points)):
             if center_indices:
                 within_centers = np.flatnonzero(
                     mode_distances[i, center_indices] <= bandwidth
                 )
                 if len(within_centers):
-                    labels[i] = int(within_centers[0])
+                    mode_labels[i] = int(within_centers[0])
                     continue
-            labels[i] = len(center_indices)
+            mode_labels[i] = len(center_indices)
             center_indices.append(i)
+        labels = mode_labels[inverse]
 
         # Refine centers as the mean of their member points (in input space).
         refined = np.vstack(

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.clustering.meanshift as meanshift_module
 from repro.clustering import MeanShift, estimate_bandwidth, get_bin_seeds
+from repro.clustering.metrics import pairwise_distances
 from repro.utils.batch import MAX_DENSE_PAIRWISE
 
 
@@ -13,6 +15,30 @@ def feature_blobs(rng):
     honest = rng.normal([0.6, 0.05, 0.35], 0.02, size=(16, 3))
     malicious = rng.normal([0.3, 0.05, 0.65], 0.02, size=(4, 3))
     return np.vstack([honest, malicious])
+
+
+def lattice_features(n, *, m, byzantine, seed):
+    """Plain-SignGuard sign fractions: multiples of ``1/m``, rows shuffled.
+
+    ``byzantine`` rows are one identical vector, as colluding clients that
+    submit the same gradient produce; the honest rows repeat because ``m``
+    sampled coordinates allow few distinct count triples.
+    """
+    rng = np.random.default_rng(seed)
+    positive = rng.binomial(m, 0.55, size=n - byzantine)
+    zero = rng.binomial(m - positive, 0.05)
+    honest = np.column_stack([positive, zero, m - positive - zero])
+    attack = np.tile([m // 3, 0, m - m // 3], (byzantine, 1))
+    return rng.permutation(np.vstack([honest, attack])) / m
+
+
+def first_occurrences(x):
+    """Distinct rows of ``x`` in first-occurrence order, and each row's index."""
+    _, first, inverse = np.unique(
+        x, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
 class TestEstimateBandwidth:
@@ -41,6 +67,36 @@ class TestEstimateBandwidth:
     def test_invalid_quantile_rejected(self, feature_blobs):
         with pytest.raises(ValueError):
             estimate_bandwidth(feature_blobs, quantile=0.0)
+
+
+class TestExactPairQuantile:
+    """The exact bandwidth reads every sample pair from distinct-row distances."""
+
+    @staticmethod
+    def dense_quantile(x, quantile):
+        # The n x n matrix rebuilt from the distinct rows' distances holds
+        # the very numbers the estimator reads, on any BLAS.
+        first, inverse = first_occurrences(x)
+        dense = pairwise_distances(x[first])[np.ix_(inverse, inverse)]
+        upper = dense[np.triu_indices(len(x), k=1)]
+        value = float(np.quantile(upper, quantile))
+        return value, upper
+
+    @pytest.mark.parametrize("quantile", [0.3, 0.5, 1.0])
+    def test_equals_quantile_over_all_sample_pairs(self, quantile):
+        x = lattice_features(400, m=197, byzantine=80, seed=0)
+        assert len(first_occurrences(x)[0]) < len(x) // 2
+        expected, _ = self.dense_quantile(x, quantile)
+        assert expected > 0
+        assert estimate_bandwidth(x, quantile=quantile) == expected
+
+    def test_duplicate_pairs_past_the_quantile_fall_back_to_min_positive(self):
+        # 80 of 100 rows coincide on dyadic values, so their 3,160 pairs
+        # (64% of all) sit at exactly 0 and the 0.5-quantile is 0.
+        x = lattice_features(100, m=16, byzantine=80, seed=1)
+        quantile, upper = self.dense_quantile(x, 0.5)
+        assert quantile == 0.0
+        assert estimate_bandwidth(x, quantile=0.5) == upper[upper > 0].min()
 
 
 class TestBandwidthSubsampling:
@@ -158,6 +214,32 @@ class TestMeanShift:
     def test_largest_cluster_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             MeanShift().largest_cluster()
+
+    def test_identical_rows_are_never_split(self):
+        # BLAS kernels round a Gram entry differently by its tile position,
+        # so two identical modes can sit 1.5e-8 or 2.1e-8 apart; with a
+        # bandwidth of 1.5e-8 a merge over every sample split these 13
+        # identical rows into 9 clusters.
+        x = np.tile(np.array([114, 91, 120]) / 197, (13, 1))
+        model = MeanShift(quantile=0.5).fit(x)
+        assert model.n_clusters_ == 1
+
+    def test_dense_fit_never_builds_a_sample_by_sample_matrix(self, monkeypatch):
+        # A timing-free cost guard: every distance matrix the dense fit
+        # builds has at most one row per distinct feature row.
+        x = lattice_features(2000, m=20, byzantine=400, seed=3)
+        distinct = len(first_occurrences(x)[0])
+        assert distinct <= 50
+        rows = []
+
+        def spy(a, b=None):
+            rows.append(len(a))
+            return pairwise_distances(a, b)
+
+        monkeypatch.setattr(meanshift_module, "pairwise_distances", spy)
+        model = MeanShift(quantile=0.5).fit(x)
+        assert len(model.labels_) == len(x)
+        assert rows and max(rows) <= distinct
 
 
 class TestBinSeeding:

@@ -101,6 +101,29 @@ class TestMeanShiftEquivalence:
             model.cluster_centers_, seed["cluster_centers"], rtol=1e-9, atol=1e-12
         )
 
+    @pytest.mark.parametrize("columns", [3, 4])
+    def test_duplicate_heavy_same_labels_and_centers(self, rng, columns):
+        # SignGuard features repeat: sign fractions are multiples of 1/m and
+        # colluding clients submit one identical row.  Four columns add a
+        # continuous similarity feature, so only the attackers coincide.
+        m = 60
+        positive = rng.binomial(m, 0.55, size=160)
+        zero = rng.binomial(m - positive, 0.05)
+        honest = np.column_stack([positive, zero, m - positive - zero]) / m
+        attack = np.array([0.3, 0.0, 0.7])
+        if columns == 4:
+            honest = np.column_stack([honest, rng.normal(0.8, 0.05, 160)])
+            attack = np.append(attack, -0.6)
+        features = rng.permutation(np.vstack([honest, np.tile(attack, (40, 1))]))
+        assert len(np.unique(features, axis=0)) < len(features)
+        model = MeanShift(quantile=0.5).fit(features)
+        seed = ref.meanshift_reference(features, quantile=0.5)
+        np.testing.assert_array_equal(model.labels_, seed["labels"])
+        assert model.n_clusters_ == seed["n_clusters"]
+        np.testing.assert_allclose(
+            model.cluster_centers_, seed["cluster_centers"], rtol=1e-9, atol=1e-12
+        )
+
     def test_same_largest_cluster_across_bandwidths(self, rng):
         features = rng.normal(size=(25, 4))
         for bandwidth in (0.5, 1.0, 3.0):
