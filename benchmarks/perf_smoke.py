@@ -182,7 +182,8 @@ class LatencyClient(BenignClient):
     A deployed federation pays a network round-trip per client; the
     ``time.sleep`` stand-in releases the GIL exactly like socket I/O would,
     so the thread fleet overlaps the waits the same way it would overlap real
-    latency.  ``latency_s=0`` gives the pure compute-bound case.
+    latency.  Overriding ``compute_gradient`` keeps every instance on the
+    per-client path, so the compute-bound rows use plain clients instead.
     """
 
     def __init__(self, *args, latency_s: float = 0.0, **kwargs):
@@ -205,9 +206,13 @@ def make_collect_population(
     collect bit-identical to the sequential one.
 
     ``plain_clients=True`` builds :class:`BenignClient`\\ s (importable from
-    ``repro``) instead of the script-local :class:`LatencyClient` — required
-    when the population is pickled to ``repro-worker`` subprocesses, which
-    cannot import this script's ``__main__`` classes.
+    ``repro``) instead of the script-local :class:`LatencyClient`, and
+    ignores ``latency_s``.  Every compute-bound row uses it, on both sides
+    of its ratio: plain clients share grouped forward/backward passes
+    (``compute_cohort_gradients``), while a ``LatencyClient`` overrides
+    ``compute_gradient`` and so runs the per-client loop.  It is also
+    required when the population is pickled to ``repro-worker``
+    subprocesses, which cannot import this script's ``__main__`` classes.
     """
     samples_per_client = 20
     split = build_dataset(
@@ -529,8 +534,10 @@ def main(argv=None) -> int:
     # Compute-bound variant (no latency): context only, no floor — on a
     # single-core host the GIL serializes the Python share of the work and
     # this hovers around 1x; multi-core hosts gain from parallel BLAS.
+    # Plain clients here and in the process/distributed rows, so every
+    # compute-bound ratio times the same (grouped) client code.
     cpu_clients, cpu_model, cpu_buffer = make_collect_population(
-        collect_clients, latency_s=0.0
+        collect_clients, latency_s=0.0, plain_clients=True
     )
     cpu_sequential = run_benchmark(
         lambda: SequentialCollector().collect(cpu_clients, cpu_model, cpu_buffer),

@@ -14,7 +14,12 @@ optional dropouts and stragglers — the cross-device regime.
 """
 
 from repro.fl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from repro.fl.client import BenignClient, ByzantineClient, FederatedClient
+from repro.fl.client import (
+    BenignClient,
+    ByzantineClient,
+    FederatedClient,
+    compute_cohort_gradients,
+)
 from repro.fl.collector import (
     COLLECT_BACKENDS,
     COLLECTOR_REGISTRY,
@@ -71,6 +76,7 @@ __all__ = [
     "FederatedClient",
     "BenignClient",
     "ByzantineClient",
+    "compute_cohort_gradients",
     "FederatedServer",
     "FederatedSimulation",
     "build_clients",

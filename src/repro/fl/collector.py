@@ -39,6 +39,17 @@ The fleet backends are **bit-identical** to the sequential path at float64
    operations, in the same order, the sequential path performs.  Evaluation
    metrics therefore match exactly between all backends.
 
+Every backend computes its clients through
+:func:`~repro.fl.client.compute_cohort_gradients` — the sequential loop and
+each worker's shard loop alike.  It runs chunks of consecutive clients as
+one grouped forward/backward pass when the client class keeps the default
+``compute_gradient``, runs one local iteration, and the model supports the
+grouped pass; every other client calls ``compute_gradient`` itself.  The
+grouped pass keeps the client axis in every matmul (one gemm per client,
+the per-client call's gemm), so it is byte-identical to the per-client
+loop, and every client still samples its batch once through its own
+loader: the three guarantees above hold on either path.
+
 Models whose *forward pass itself* draws randomness from model-owned
 generators (a ``Dropout`` layer holding its own RNG) cannot satisfy the
 guarantee: the mask stream is consumed in client-visit order on the shared
@@ -76,7 +87,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.fl.client import FederatedClient
+from repro.fl.client import FederatedClient, compute_cohort_gradients
 from repro.fl.faults import FaultSchedule
 from repro.nn.layers import _BatchNormBase
 from repro.nn.module import Module
@@ -156,23 +167,6 @@ def _replay_batch_stats(
                 module.apply_batch_stats(mean, var)
 
 
-def _collect_client(
-    client: FederatedClient,
-    model: Module,
-    row_out: np.ndarray,
-    stat_modules: List[_BatchNormBase],
-) -> ClientBatchStats:
-    """One client's gradient into ``row_out``, recording its batch stats."""
-    for module in stat_modules:
-        module.stats_log = []
-    try:
-        row_out[...] = client.compute_gradient(model)
-        return [module.stats_log for module in stat_modules]
-    finally:
-        for module in stat_modules:
-            module.stats_log = None
-
-
 def _collect_sequential(
     clients: Sequence[FederatedClient],
     model: Module,
@@ -198,20 +192,14 @@ def _collect_sequential(
     )
     invalidate_buffer(out)
     start = monotonic()
+    chosen = clients if rows is None else [clients[row] for row in rows]
     try:
-        if rows is None:
-            for row, client in enumerate(clients):
-                out[row] = client.compute_gradient(model)
-            count = len(clients)
-        else:
-            for buffer_row, client_row in enumerate(rows):
-                out[buffer_row] = clients[client_row].compute_gradient(model)
-            count = len(rows)
+        compute_cohort_gradients(chosen, model, out)
     finally:
         for module, running_mean, running_var in saved_stats:
             module.running_mean = running_mean
             module.running_var = running_var
-    return [(0, monotonic() - start, count)]
+    return [(0, monotonic() - start, len(chosen))]
 
 
 def _stochastic_forward_modules(model: Module) -> List[str]:

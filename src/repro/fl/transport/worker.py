@@ -68,8 +68,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fl.client import FederatedClient
-from repro.fl.collector import _batch_stat_modules, _collect_client
+from repro.fl.client import FederatedClient, compute_cohort_gradients
+from repro.fl.collector import _batch_stat_modules
 from repro.fl.faults import FaultSchedule
 from repro.fl.transport.codec import (
     MSG_BYE,
@@ -431,25 +431,37 @@ class WorkerServer:
             return
         self._model.load_state_dict(decode_state_dict(body))
         shard = np.full((len(rows), dim), np.nan, dtype=dtype)
+        shard_clients = [self._clients[row] for row in rows]
         stat_modules = _batch_stat_modules(self._model)
-        start = monotonic()
-        count = 0
         losses: List[Tuple[int, float]] = []
         stats: List[Tuple[int, list]] = []
         error: Optional[BaseException] = None
-        for position, row in enumerate(rows):
-            client = self._clients[row]
-            try:
-                client_stats = _collect_client(
-                    client, self._model, shard[position], stat_modules
+
+        def start_stats_logs() -> None:
+            for module in stat_modules:
+                module.stats_log = []
+
+        def record(done: int) -> None:
+            # Rows up to ``done`` are complete.  Batch statistics are logged
+            # per client: a model with BatchNorm has no grouped pass.
+            for position in range(len(losses), done):
+                losses.append((rows[position], shard_clients[position].last_loss))
+                stats.append(
+                    (rows[position], [module.stats_log for module in stat_modules])
                 )
-            except BaseException as exc:  # propagate to the caller
-                error = exc
-                break
-            count += 1
-            losses.append((row, client.last_loss))
-            stats.append((row, client_stats))
+            start_stats_logs()
+
+        start = monotonic()
+        start_stats_logs()
+        try:
+            compute_cohort_gradients(shard_clients, self._model, shard, on_done=record)
+        except BaseException as exc:  # propagate to the caller
+            error = exc
+        finally:
+            for module in stat_modules:
+                module.stats_log = None
         seconds = monotonic() - start
+        count = len(losses)
         if error is not None:
             try:
                 pickle.dumps(error)

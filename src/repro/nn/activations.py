@@ -22,6 +22,16 @@ class ReLU(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output * self._mask
 
+    # Elementwise, so the per-batch pass already carries a group axis.
+    def supports_grouped(self) -> bool:
+        return True
+
+    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)
+
+    def backward_grouped(self, grad_output, grads):
+        return self.backward(grad_output)
+
 
 class LeakyReLU(Module):
     """Leaky rectified linear unit with configurable negative slope."""

@@ -84,6 +84,29 @@ class Linear(Module):
         grad_input = grad @ self.weight.data
         return grad_input.reshape(self._input.shape)
 
+    # ``forward`` already broadcasts over a leading group axis: ``x @ W.T``
+    # on ``(G, B, in)`` runs one gemm per group, byte-identical to G
+    # separate calls.  Folding the groups into rows, ``(G*B, in)``, would
+    # change the gemm's blocking and so its rounding.
+    def supports_grouped(self) -> bool:
+        return True
+
+    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)
+
+    def backward_grouped(self, grad_output, grads):
+        # Per group: ``grad.T @ x``, ``grad.sum(axis=0)`` and ``grad @ W``,
+        # the expressions of ``backward``.  The gemm accumulates from +0.0,
+        # so writing it straight into ``grads`` equals adding it into a
+        # zeroed ``weight.grad``.  The bias is added into zeros as in
+        # ``backward``, so a -0.0 sum reads +0.0 on either path.
+        np.matmul(grad_output.transpose(0, 2, 1), self._input, out=grads[self.weight])
+        if self.bias is not None:
+            bias_grad = grads[self.bias]
+            bias_grad.fill(0.0)
+            bias_grad += grad_output.sum(axis=1)
+        return grad_output @ self.weight.data
+
 
 class Conv2d(Module):
     """2-D convolution with square kernels, implemented via im2col."""
@@ -280,6 +303,16 @@ class Flatten(Module):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return grad_output.reshape(self._input_shape)
+
+    def supports_grouped(self) -> bool:
+        return True
+
+    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
+        self._input_shape = x.shape
+        return x.reshape(x.shape[0], x.shape[1], -1)
+
+    def backward_grouped(self, grad_output, grads):
         return grad_output.reshape(self._input_shape)
 
 
@@ -495,6 +528,19 @@ class Sequential(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)
+        return grad_output
+
+    def supports_grouped(self) -> bool:
+        return all(layer.supports_grouped() for layer in self.layers)
+
+    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.forward_grouped(x)
+        return x
+
+    def backward_grouped(self, grad_output, grads):
+        for layer in reversed(self.layers):
+            grad_output = layer.backward_grouped(grad_output, grads)
         return grad_output
 
 

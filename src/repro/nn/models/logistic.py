@@ -28,3 +28,12 @@ class LogisticRegression(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return self.network.backward(grad_output)
+
+    def supports_grouped(self) -> bool:
+        return self.network.supports_grouped()
+
+    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
+        return self.network.forward_grouped(x)
+
+    def backward_grouped(self, grad_output, grads):
+        return self.network.backward_grouped(grad_output, grads)

@@ -192,9 +192,9 @@ class Module:
     def state_dict(self, *, include_buffers: bool = True) -> Dict[str, np.ndarray]:
         """Copy of every named parameter's data (and, by default, buffers).
 
-        The result is a plain ``{name: ndarray}`` mapping — picklable, so it
-        doubles as the wire format the process-pool collect backend uses to
-        ship per-round parameter updates to its worker replicas.
+        The result is a plain ``{name: ndarray}`` mapping — what the fleet
+        collect backends encode (``encode_state_dict``) to ship per-round
+        parameter and buffer values to their worker replicas.
         """
         state = {name: param.data.copy() for name, param in self.named_parameters()}
         if include_buffers:
@@ -239,6 +239,27 @@ class Module:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Back-propagate ``grad_output`` and return the input gradient."""
         raise NotImplementedError
+
+    # -- grouped computation ----------------------------------------------------
+    # A grouped pass evaluates G independent batches stacked along a leading
+    # group axis, ``(G, B, ...)``, as G separate forward/backward passes
+    # would: same values, same bytes.  Group ``g``'s parameter gradients are
+    # written into ``grads[param][g]`` instead of accumulating into
+    # ``param.grad``, so the parameters and their gradients stay untouched.
+    def supports_grouped(self) -> bool:
+        """Whether this module (and every sub-module) has a grouped pass."""
+        return False
+
+    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
+        """Forward a ``(G, B, ...)`` stack of G independent batches."""
+        raise NotImplementedError(f"{type(self).__name__} has no grouped pass")
+
+    def backward_grouped(
+        self, grad_output: np.ndarray, grads: Dict[Parameter, np.ndarray]
+    ) -> np.ndarray:
+        """Back-propagate a grouped ``grad_output``; per-group parameter
+        gradients go to ``grads[param]`` (shape ``(G, *param.shape)``)."""
+        raise NotImplementedError(f"{type(self).__name__} has no grouped pass")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

@@ -7,11 +7,11 @@ parameters/gradients and that representation.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 
 
 def count_parameters(model: Module) -> int:
@@ -51,6 +51,32 @@ def get_flat_gradients(model: Module) -> np.ndarray:
     if not parts:
         return np.zeros(0)
     return np.concatenate(parts)
+
+
+def grouped_gradient_views(
+    model: Module, block: np.ndarray
+) -> Dict[Parameter, np.ndarray]:
+    """Per-parameter views into a ``(G, num_parameters)`` gradient block.
+
+    Each row of ``block`` is laid out as :func:`get_flat_gradients` lays out
+    one gradient; ``views[param]`` has shape ``(G, *param.shape)``, so a
+    grouped backward pass (``Module.backward_grouped``) writes group ``g``'s
+    gradient straight into row ``g``.  ``block`` must be C-contiguous.
+    """
+    if not block.flags.c_contiguous:
+        raise ValueError("gradient block must be C-contiguous")
+    views: Dict[Parameter, np.ndarray] = {}
+    offset = 0
+    for param in model.parameters():
+        columns = block[:, offset : offset + param.size]
+        views[param] = columns.reshape((len(block),) + param.shape)
+        offset += param.size
+    if offset != block.shape[1]:
+        raise ValueError(
+            f"gradient block has {block.shape[1]} columns but the model has "
+            f"{offset} parameters"
+        )
+    return views
 
 
 def set_flat_gradients(model: Module, flat: np.ndarray) -> None:
