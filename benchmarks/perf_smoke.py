@@ -124,6 +124,7 @@ from repro.nn.models.factory import build_model  # noqa: E402
 from repro.perf import (  # noqa: E402
     RoundProfiler,
     run_benchmark,
+    run_interleaved,
     speedup,
     write_bench_json,
 )
@@ -245,6 +246,7 @@ def make_collect_population(
 #: Timed runs of each Mean-Shift row, in every mode.  Its fits take 10-15
 #: ms, so a best-of-2 reading of the >= 1.0x floors swung between 0.94x
 #: and 1.18x across runs of one commit; best-of-20 adds under a second.
+#: The three rows' repeats alternate in one loop (``run_interleaved``).
 MEANSHIFT_REPEATS = 20
 
 
@@ -422,23 +424,6 @@ def main(argv=None) -> int:
             feature_rng.normal([0.3, 0.05, 0.65], 0.02, size=(100, 3)),
         ]
     )
-    seed_meanshift = run_benchmark(
-        lambda: ref.meanshift_reference(features, quantile=0.5),
-        name="meanshift/seed",
-        repeats=MEANSHIFT_REPEATS,
-    )
-    optimized_meanshift = run_benchmark(
-        lambda: MeanShift(quantile=0.5).fit(features),
-        name="meanshift/optimized",
-        repeats=MEANSHIFT_REPEATS,
-    )
-    meanshift_speedup = speedup(seed_meanshift, optimized_meanshift)
-    print(
-        f"meanshift: seed {seed_meanshift.best_s * 1e3:.1f} ms -> "
-        f"optimized {optimized_meanshift.best_s * 1e3:.1f} ms "
-        f"({meanshift_speedup:.2f}x)"
-    )
-
     # Binned seeding (sklearn-style bin_seeding): the shift iterations run
     # from occupied grid cells instead of every sample.  Must discover the
     # same trusted majority as the unbinned fit on these features.
@@ -452,11 +437,27 @@ def main(argv=None) -> int:
         ),
         "binned Mean-Shift trusted majority diverged from the unbinned fit",
     )
-    binned_meanshift = run_benchmark(
-        lambda: MeanShift(quantile=0.5, bin_seeding=True).fit(features),
-        name="meanshift/binned",
+
+    def fit_binned():
+        return MeanShift(quantile=0.5, bin_seeding=True).fit(features)
+
+    # The three fits alternate within one loop, so both >= 1.0x ratios
+    # compare repeats taken moments apart, not two phases of the host.
+    seed_meanshift, optimized_meanshift, binned_meanshift = run_interleaved(
+        {
+            "meanshift/seed": lambda: ref.meanshift_reference(features, quantile=0.5),
+            "meanshift/optimized": lambda: MeanShift(quantile=0.5).fit(features),
+            "meanshift/binned": fit_binned,
+        },
         repeats=MEANSHIFT_REPEATS,
     )
+    meanshift_speedup = speedup(seed_meanshift, optimized_meanshift)
+    print(
+        f"meanshift: seed {seed_meanshift.best_s * 1e3:.1f} ms -> "
+        f"optimized {optimized_meanshift.best_s * 1e3:.1f} ms "
+        f"({meanshift_speedup:.2f}x)"
+    )
+
     binned_meanshift_speedup = speedup(optimized_meanshift, binned_meanshift)
     print(
         f"meanshift_binned: unbinned {optimized_meanshift.best_s * 1e3:.1f} ms -> "

@@ -97,31 +97,57 @@ class Attack:
         """Return malicious gradients of shape ``(num_byzantine, dim)``."""
         raise NotImplementedError
 
-    def apply(self, honest_gradients: np.ndarray, context: AttackContext) -> np.ndarray:
+    def apply(
+        self,
+        honest_gradients: np.ndarray,
+        context: AttackContext,
+        *,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Return the full gradient matrix after replacing Byzantine rows.
 
         This is the entry point used by the federated server simulation; it
         validates shapes and leaves benign rows untouched.  The input dtype
         is preserved (float32 stays float32) so the simulation's
         reduced-precision round path survives the attack stage.
+
+        ``out`` follows numpy's convention: the result is written into it
+        and it is returned.  It must be a 2-D float32/float64 array of the
+        (validated) input's shape and dtype, and it may be
+        ``honest_gradients`` itself — the simulation's in-place round, in
+        which only the Byzantine rows are written.  Aliasing is safe
+        because every check runs before anything is written (a non-finite
+        input raises with ``out`` unchanged), and :meth:`craft` reads the
+        honest matrix in full before the Byzantine rows are overwritten.
+        With ``out=None`` the input is left untouched and a fresh matrix is
+        returned.
         """
-        gradients = check_gradient_matrix(honest_gradients, preserve_dtype=True).copy()
+        gradients = check_gradient_matrix(honest_gradients, preserve_dtype=True)
+        if out is not None:
+            _check_out(out, gradients)
         byzantine = np.asarray(context.byzantine_indices, dtype=int)
-        if len(byzantine) == 0:
-            return gradients
-        if byzantine.min() < 0 or byzantine.max() >= len(gradients):
+        out_of_range = len(byzantine) and (
+            byzantine.min() < 0 or byzantine.max() >= len(gradients)
+        )
+        if out_of_range:
             raise ValueError(
                 f"byzantine indices {byzantine} out of range for "
                 f"{len(gradients)} clients"
             )
-        malicious = np.atleast_2d(self.craft(gradients, context))
-        if malicious.shape != (len(byzantine), gradients.shape[1]):
+        if out is None:
+            out = gradients.copy()
+        elif out is not gradients:
+            np.copyto(out, gradients)
+        if len(byzantine) == 0:
+            return out
+        malicious = np.atleast_2d(self.craft(out, context))
+        if malicious.shape != (len(byzantine), out.shape[1]):
             raise ValueError(
                 f"{self.name} produced malicious gradients of shape "
-                f"{malicious.shape}, expected {(len(byzantine), gradients.shape[1])}"
+                f"{malicious.shape}, expected {(len(byzantine), out.shape[1])}"
             )
-        gradients[byzantine] = malicious
-        return gradients
+        out[byzantine] = malicious
+        return out
 
     def benign_rows(
         self, honest_gradients: np.ndarray, context: AttackContext
@@ -158,3 +184,25 @@ class Attack:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _check_out(out: np.ndarray, gradients: np.ndarray) -> None:
+    """``Attack.apply``'s ``out`` must take the validated matrix as is.
+
+    A mismatch raises rather than casting, so an input that validation
+    coerced (an int matrix becomes float64) can never silently leave the
+    caller's buffer unwritten.
+    """
+    if (
+        not isinstance(out, np.ndarray)
+        or out.ndim != 2
+        or out.dtype not in (np.float32, np.float64)
+        or out.shape != gradients.shape
+        or out.dtype != gradients.dtype
+    ):
+        raise ValueError(
+            f"out must be a 2-D float32/float64 array of shape "
+            f"{gradients.shape} and dtype {gradients.dtype}, got "
+            f"{type(out).__name__} of shape {getattr(out, 'shape', None)} "
+            f"and dtype {getattr(out, 'dtype', None)}"
+        )

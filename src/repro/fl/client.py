@@ -160,8 +160,8 @@ def compute_cohort_gradients(
 
     An exception propagates at once, leaving the rows of the failing client
     (or chunk) and of every later client incomplete; the collectors
-    NaN-fill their buffers first.  ``on_done(k)`` is called whenever rows
-    ``[0, k)`` are complete.
+    NaN-fill those rows (see :mod:`repro.fl.collector`).  ``on_done(k)`` is
+    called whenever rows ``[0, k)`` are complete.
     """
     grouped = model.supports_grouped()
     dtype = model.dtype

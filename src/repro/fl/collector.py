@@ -61,12 +61,17 @@ federated rounds.)
 Failure semantics
 -----------------
 
-Every backend NaN-fills the round buffer before dispatch.  The buffer is
-preallocated and reused across rounds, so without invalidation a client
-exception would leave it partially filled with the *previous* round's
-gradients — a caller that catches the exception and keeps going would
-silently aggregate stale rows.  With invalidation, rows the failed round
-never produced are NaN and poison any downstream aggregate instead.
+The round buffer is preallocated and reused across rounds, so without
+invalidation a client exception would leave it partially filled with the
+*previous* round's gradients — a caller that catches the exception and
+keeps going would silently aggregate stale rows.  With invalidation, rows
+the failed round never produced are NaN and poison any downstream
+aggregate instead.  The sequential backend fills on failure only: it
+tracks the completed prefix ``[0, k)`` of the buffer and NaN-fills rows
+``[k:]`` before re-raising, so a successful round writes every row once
+(a full NaN pass is a buffer-sized write per round).  A fault-injected
+outage NaN-fills the whole buffer.  The fleet backends NaN-fill before
+dispatch, because their shards complete in any order.
 
 Partial participation
 ---------------------
@@ -190,11 +195,21 @@ def _collect_sequential(
             for module in _batch_stat_modules(model)
         ]
     )
-    invalidate_buffer(out)
     start = monotonic()
     chosen = clients if rows is None else [clients[row] for row in rows]
+    done = 0
+
+    def on_done(stop: int) -> None:
+        nonlocal done
+        done = stop
+
     try:
-        compute_cohort_gradients(chosen, model, out)
+        compute_cohort_gradients(chosen, model, out, on_done=on_done)
+    except BaseException:
+        # Rows [0, done) hold this round's gradients; everything after may
+        # still hold the previous round's.
+        invalidate_buffer(out[done:])
+        raise
     finally:
         for module, running_mean, running_var in saved_stats:
             module.running_mean = running_mean

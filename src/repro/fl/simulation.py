@@ -390,7 +390,17 @@ class FederatedSimulation:
             cohort_client_ids=plan.active,
         )
         with profiler.stage("attack"):
-            submitted = self.attack.apply(submitted_honest, context)
+            # The base class's apply writes in place: nothing reads the
+            # honest rows after the attack, and the next collect overwrites
+            # every row.  An attack that overrides apply keeps the old
+            # two-argument call (decided from the class, so an instance
+            # wrapper such as a tracer's span changes nothing).
+            if type(self.attack).apply is Attack.apply:
+                submitted = self.attack.apply(
+                    submitted_honest, context, out=submitted_honest
+                )
+            else:
+                submitted = self.attack.apply(submitted_honest, context)
         result = self.server.aggregate_and_update(
             submitted,
             num_byzantine_hint=scaled_byzantine_hint(

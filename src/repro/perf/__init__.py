@@ -21,6 +21,7 @@ from repro.perf.bench import (
     peak_rss_bytes,
     read_bench_json,
     run_benchmark,
+    run_interleaved,
     speedup,
     write_bench_json,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "BenchResult",
     "peak_rss_bytes",
     "run_benchmark",
+    "run_interleaved",
     "speedup",
     "read_bench_json",
     "write_bench_json",

@@ -74,29 +74,51 @@ def run_benchmark(
     extra: Optional[Dict[str, Any]] = None,
 ) -> BenchResult:
     """Time ``fn`` over ``repeats`` runs after ``warmup`` untimed runs."""
+    return run_interleaved({name: fn}, repeats=repeats, warmup=warmup, extra=extra)[0]
+
+
+def run_interleaved(
+    cases: Dict[str, Callable[[], Any]],
+    *,
+    repeats: int = 3,
+    warmup: int = 1,
+    extra: Optional[Dict[str, Any]] = None,
+) -> List[BenchResult]:
+    """Time several callables in one alternating loop, one result per case.
+
+    Each iteration runs every case once, in order, so a change of host
+    speed during the loop lands on all of them alike: the ratio of two
+    best-of times then compares runs taken moments apart, where timing
+    the cases in separate loops would compare different host phases.
+    """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     for _ in range(warmup):
-        fn()
-    samples: List[float] = []
+        for fn in cases.values():
+            fn()
+    samples: Dict[str, List[float]] = {name: [] for name in cases}
     for _ in range(repeats):
-        start = monotonic()
-        fn()
-        samples.append(monotonic() - start)
+        for name, fn in cases.items():
+            start = monotonic()
+            fn()
+            samples[name].append(monotonic() - start)
     # Every bench row carries the process peak RSS observed by the time the
     # row was measured (callers can override by passing their own value).
     merged_extra = dict(extra or {})
     merged_extra.setdefault("peak_rss_bytes", peak_rss_bytes())
-    return BenchResult(
-        name=name,
-        repeats=repeats,
-        best_s=min(samples),
-        mean_s=sum(samples) / len(samples),
-        total_s=sum(samples),
-        extra=merged_extra,
-    )
+    return [
+        BenchResult(
+            name=name,
+            repeats=repeats,
+            best_s=min(times),
+            mean_s=sum(times) / len(times),
+            total_s=sum(times),
+            extra=dict(merged_extra),
+        )
+        for name, times in samples.items()
+    ]
 
 
 def speedup(reference: BenchResult, optimized: BenchResult) -> float:

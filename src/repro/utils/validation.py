@@ -41,14 +41,16 @@ def check_gradient_matrix(
 ) -> np.ndarray:
     """Validate a stacked gradient matrix of shape ``(n_clients, dim)``.
 
-    Returns the input coerced to a 2-D float64 array.  Empty matrices and
-    non-finite entries are rejected because every aggregation rule in the
-    library assumes at least one finite gradient.
+    Returns the input coerced to a 2-D float64 array (a 1-D vector becomes
+    one row), or, with ``preserve_dtype=True``, a 2-D float32 or float64
+    array.  An input that already qualifies is returned as is, not copied.
+    Empty matrices and non-finite entries are rejected because every
+    aggregation rule in the library assumes at least one finite gradient.
 
     Args:
-        preserve_dtype: keep a float32 input as float32 instead of upcasting
-            (the reduced-precision round path); any non-float dtype is still
-            coerced to float64.
+        preserve_dtype: keep a float32 or float64 input's dtype instead of
+            upcasting float32 (the reduced-precision round path); any other
+            dtype is still coerced to float64.
     """
     if preserve_dtype:
         array = np.asarray(gradients)

@@ -425,6 +425,32 @@ class TestBufferInvalidation:
         SequentialCollector().collect(clients, model, out)
         assert np.all(np.isfinite(out))
 
+    def test_successful_sequential_collect_skips_invalidation(self, monkeypatch):
+        # The sequential loop fills on failure only: a successful round
+        # writes every row once, with no buffer-sized NaN pass first.
+        import repro.fl.collector as collector_module
+
+        calls = []
+        monkeypatch.setattr(collector_module, "invalidate_buffer", calls.append)
+        clients = make_clients(5)
+        model = make_model()
+        out = np.full((5, model.num_parameters()), 7.0)
+        SequentialCollector().collect(clients, model, out)
+        assert calls == []
+        assert np.all(np.isfinite(out)) and not np.any(out == 7.0)
+
+    def test_sequential_failure_nan_fills_from_failing_row(self):
+        model = make_model()
+        reference = np.empty((5, model.num_parameters()))
+        SequentialCollector().collect(make_clients(5), model, reference)
+        out = np.full_like(reference, 7.0)
+        with pytest.raises(RuntimeError, match="went Byzantine"):
+            SequentialCollector().collect(explode(make_clients(5), 3), model, out)
+        # Rows the round completed keep this round's gradients; the failing
+        # row and every later one are NaN, never the previous round's.
+        assert np.array_equal(out[:3], reference[:3])
+        assert np.all(np.isnan(out[3:]))
+
 
 class TestBatchNormBufferParity:
     """Sequential and threaded collect agree on BatchNorm buffers and eval.

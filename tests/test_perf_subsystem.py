@@ -15,6 +15,7 @@ from repro.perf import (
     monotonic,
     read_bench_json,
     run_benchmark,
+    run_interleaved,
     speedup,
     write_bench_json,
 )
@@ -106,6 +107,21 @@ class TestBenchRunner:
         assert len(calls) == 5
         assert result.repeats == 3
         assert result.best_s <= result.mean_s
+
+    def test_run_interleaved_alternates_cases(self):
+        calls = []
+        results = run_interleaved(
+            {"a": lambda: calls.append("a"), "b": lambda: calls.append("b")},
+            repeats=3,
+            warmup=1,
+        )
+        # One warm-up round, then every timed iteration runs each case once.
+        assert calls == ["a", "b"] * 4
+        assert [r.name for r in results] == ["a", "b"]
+        assert all(r.repeats == 3 and r.best_s <= r.mean_s for r in results)
+        assert all(r.extra["peak_rss_bytes"] > 0 for r in results)
+        with pytest.raises(ValueError):
+            run_interleaved({"a": lambda: None}, repeats=0)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
