@@ -48,8 +48,8 @@ repo's round-level speedups:
   the wire and ``cpu_count``.  The thread and process backends are the
   same engine, so their equivalence guards cover it.
 * ``collect_gradients_wire_codec/<codec>`` — one row per registered
-  gradient wire codec (``raw``, ``sign1bit``, ``int8``, ``fp16``,
-  ``topk``): the same distributed collect with the codec negotiated,
+  gradient wire codec (``raw``, ``sign1bit``, ``int8``, ``fp16``):
+  the same distributed collect with the codec negotiated,
   recording the **steady-state received bytes per round** and the
   compression ratio vs ``raw``.  Two floors are enforced (ISSUE 7's
   acceptance numbers): ``sign1bit`` must receive <= raw/16 and ``int8``

@@ -25,13 +25,14 @@ Run with:  python examples/distributed_collect.py [--wire-codec CODEC]
 
 ``--wire-codec`` negotiates a compressed gradient wire format (PR 7):
 ``raw`` (the default) keeps the byte-identical wire and the bit-identical
-guarantee; ``sign1bit`` / ``int8`` / ``fp16`` / ``topk`` trade exactness
-for a 4–64x smaller gather, so the example reports the per-round metric
+guarantee; ``sign1bit`` / ``int8`` / ``fp16`` trade exactness for a
+4–64x smaller gather, so the example reports the per-round metric
 deltas against the sequential reference instead of asserting equality.
 
 In a real deployment you would start workers yourself, e.g.::
 
-    repro-worker --host 0.0.0.0 --port 9000   # on each worker host
+    # on each worker host; only trusted callers may reach the port
+    repro-worker --host 0.0.0.0 --port 9000 --allow-pickle-setup
 
 and point the experiment at them::
 

@@ -22,10 +22,8 @@ from repro.fl.client import (
 )
 from repro.fl.collector import (
     COLLECT_BACKENDS,
-    COLLECTOR_REGISTRY,
     GradientCollector,
     SequentialCollector,
-    build_collector,
     make_collector,
 )
 from repro.fl.faults import (
@@ -51,7 +49,7 @@ from repro.fl.experiment import run_experiment, run_grid
 
 #: Names re-exported lazily from the transport package: the distributed
 #: backend and the wire-codec layer pull in socket machinery that purely
-#: in-process runs never need (build_collector defers the same import for
+#: in-process runs never need (make_collector defers the same import for
 #: the same reason).
 _TRANSPORT_EXPORTS = {
     "DistributedCollector": "repro.fl.transport.collector",
@@ -84,10 +82,8 @@ __all__ = [
     "SequentialCollector",
     "DistributedCollector",
     "LocalFleetCollector",
-    "build_collector",
     "make_collector",
     "COLLECT_BACKENDS",
-    "COLLECTOR_REGISTRY",
     "GradientCodec",
     "CodecError",
     "build_codec",

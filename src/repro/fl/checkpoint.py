@@ -59,11 +59,6 @@ _U32 = struct.Struct("!I")
 _MODEL_PREFIX = "model."
 _VELOCITY_PREFIX = "velocity."
 _PREVIOUS_GRADIENT_KEY = "previous_gradient"
-#: Per-client wire-codec state (topk error-feedback residuals), keyed by
-#: client id.  Absent from checkpoints written before PR 7 and from any run
-#: whose codec is stateless — both read back as ``{}``, so the format
-#: version stays at 1.
-_CODEC_PREFIX = "codec."
 
 
 @dataclass
@@ -101,9 +96,6 @@ class Checkpoint:
     attack_state: Dict[str, Any] = field(default_factory=dict)
     #: ``RunRecorder.to_dict()`` of the history so far.
     recorder_state: Dict[str, Any] = field(default_factory=dict)
-    #: Per-client wire-codec state by client id (topk error-feedback
-    #: residuals; ``{}`` for stateless codecs and the sequential backend).
-    codec_states: Dict[int, np.ndarray] = field(default_factory=dict)
     #: ``ExperimentConfig.to_dict()`` echo, used to refuse resuming under a
     #: different config (``None`` when captured outside ``run_experiment``).
     config: Optional[Dict[str, Any]] = None
@@ -118,8 +110,6 @@ def _encode_arrays(checkpoint: Checkpoint) -> Dict[str, np.ndarray]:
             arrays[f"{_VELOCITY_PREFIX}{index}"] = velocity
     if checkpoint.previous_gradient is not None:
         arrays[_PREVIOUS_GRADIENT_KEY] = checkpoint.previous_gradient
-    for client_id, residual in checkpoint.codec_states.items():
-        arrays[f"{_CODEC_PREFIX}{int(client_id)}"] = residual
     return arrays
 
 
@@ -199,7 +189,6 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     model_state: Dict[str, np.ndarray] = {}
     velocities: List[Optional[np.ndarray]] = [None] * int(meta["num_velocities"])
     previous_gradient: Optional[np.ndarray] = None
-    codec_states: Dict[int, np.ndarray] = {}
     for name, array in arrays.items():
         # blob_to_arrays returns read-only views into the file bytes; copy
         # so restored state is mutable, independent run state.
@@ -215,8 +204,6 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
             velocities[index] = array.copy()
         elif name == _PREVIOUS_GRADIENT_KEY:
             previous_gradient = array.copy()
-        elif name.startswith(_CODEC_PREFIX):
-            codec_states[int(name[len(_CODEC_PREFIX) :])] = array.copy()
         else:
             raise ValueError(f"{path} contains an unknown array {name!r}")
 
@@ -236,6 +223,5 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
         },
         attack_state=meta.get("attack_state") or {},
         recorder_state=meta.get("recorder_state") or {},
-        codec_states=codec_states,
         config=meta.get("config"),
     )

@@ -97,7 +97,6 @@ from repro.fl.faults import FaultSchedule
 from repro.nn.layers import _BatchNormBase
 from repro.nn.module import Module
 from repro.perf.timers import monotonic
-from repro.utils.registry import Registry
 
 #: (worker_label, seconds, clients_processed) for one collect call.  The
 #: label is the worker's integer index for the sequential and local-fleet
@@ -299,19 +298,6 @@ class GradientCollector:
         """
         return {}
 
-    def codec_states(self) -> Dict[int, np.ndarray]:
-        """Per-client wire-codec state (topk error-feedback residuals).
-
-        Only a fleet backend with a stateful wire codec has any;
-        every other backend/codec combination reports ``{}``.  Captured in
-        checkpoints next to the RNG states and restored via
-        :meth:`load_codec_states`.
-        """
-        return {}
-
-    def load_codec_states(self, states: Dict[int, np.ndarray]) -> None:
-        """Adopt checkpointed wire-codec state (no-op without one)."""
-
     def collect(
         self,
         clients: Sequence[FederatedClient],
@@ -376,124 +362,9 @@ class SequentialCollector(GradientCollector):
         return out
 
 
-#: Collect backend names accepted by :func:`build_collector` and
-#: :class:`~repro.utils.config.TrainingConfig`.  Kept as an explicit tuple
-#: (rather than derived from the registry) so error messages preserve the
-#: documented order.
+#: Collect backend names accepted by :func:`make_collector` and
+#: :class:`~repro.utils.config.TrainingConfig`, in documented order.
 COLLECT_BACKENDS = ("sequential", "thread", "process", "distributed")
-
-#: Backend name → factory taking the normalized collect options dict (see
-#: :func:`build_collector`, which assembles it).  New backends register
-#: here and become constructible through the same audited code path —
-#: ``TrainingConfig(collect_backend=...)`` → :func:`make_collector` →
-#: :func:`build_collector` → registry dispatch.
-COLLECTOR_REGISTRY = Registry("collect backend")
-
-
-@COLLECTOR_REGISTRY.register("sequential")
-def _make_sequential_collector(options: Dict[str, Any]) -> GradientCollector:
-    return SequentialCollector(fault_schedule=options["fault_schedule"])
-
-
-def _fleet_options(options: Dict[str, Any]) -> Dict[str, Any]:
-    """The recovery-ladder options every fleet backend shares."""
-    keys = (
-        "connect_timeout",
-        "round_timeout",
-        "fault_schedule",
-        "redispatch",
-        "retry_seed",
-    )
-    return {key: options[key] for key in keys}
-
-
-def _make_local_fleet_collector(
-    kind: str, options: Dict[str, Any]
-) -> GradientCollector:
-    if options["n_workers"] <= 1:
-        return _make_sequential_collector(options)
-    # Imported here: the transport subsystem pulls in socket machinery
-    # that purely sequential runs never need.
-    from repro.fl.transport.collector import LocalFleetCollector
-
-    return LocalFleetCollector(kind, options["n_workers"], **_fleet_options(options))
-
-
-@COLLECTOR_REGISTRY.register("thread")
-def _make_thread_collector(options: Dict[str, Any]) -> GradientCollector:
-    return _make_local_fleet_collector("thread", options)
-
-
-@COLLECTOR_REGISTRY.register("process")
-def _make_process_collector(options: Dict[str, Any]) -> GradientCollector:
-    return _make_local_fleet_collector("process", options)
-
-
-@COLLECTOR_REGISTRY.register("distributed")
-def _make_distributed_collector(options: Dict[str, Any]) -> GradientCollector:
-    if not options["workers"]:
-        raise ValueError(
-            "collect_backend='distributed' requires workers=[host:port, ...]"
-        )
-    from repro.fl.transport.collector import DistributedCollector
-
-    return DistributedCollector(
-        options["workers"],
-        wire_codec=options["wire_codec"],
-        **_fleet_options(options),
-    )
-
-
-def build_collector(
-    n_workers: int = 1,
-    backend: str = "thread",
-    *,
-    workers: Optional[Sequence[str]] = None,
-    connect_timeout: float = 10.0,
-    round_timeout: Optional[float] = 120.0,
-    fault_schedule: Optional[FaultSchedule] = None,
-    redispatch: bool = True,
-    retry_seed: int = 0,
-    wire_codec: str = "raw",
-) -> GradientCollector:
-    """Build the collect strategy for ``backend`` at ``n_workers``.
-
-    ``n_workers <= 1`` (or ``backend="sequential"``) gives the sequential
-    strategy; otherwise ``"thread"`` and ``"process"`` give a
-    :class:`~repro.fl.transport.collector.LocalFleetCollector` over
-    ``n_workers`` localhost worker threads or ``repro-worker``
-    subprocesses.  ``"distributed"`` ignores ``n_workers`` and drives the
-    fleet named by ``workers`` (``host:port`` specs) through a
-    :class:`~repro.fl.transport.collector.DistributedCollector`.
-
-    ``connect_timeout``/``round_timeout``/``redispatch``/``retry_seed``
-    shape every fleet backend's recovery ladder and are ignored by the
-    sequential backend; ``wire_codec`` picks the distributed backend's
-    wire format (local fleets ship raw frames); ``fault_schedule`` injects
-    deterministic faults into any backend.
-
-    Dispatch goes through :data:`COLLECTOR_REGISTRY`; prefer
-    :func:`make_collector` when starting from a
-    :class:`~repro.utils.config.TrainingConfig`.
-    """
-    if backend not in COLLECTOR_REGISTRY:
-        # The error names the built-ins in documented order; third-party
-        # backends registered in COLLECTOR_REGISTRY dispatch the same way.
-        raise ValueError(
-            f"collect backend must be one of {COLLECT_BACKENDS}, got {backend!r}"
-        )
-    options: Dict[str, Any] = {
-        "n_workers": int(n_workers),
-        "workers": list(workers) if workers else None,
-        "connect_timeout": connect_timeout,
-        "round_timeout": round_timeout,
-        "fault_schedule": fault_schedule,
-        "redispatch": redispatch,
-        "retry_seed": retry_seed,
-        "wire_codec": wire_codec,
-    }
-    return COLLECTOR_REGISTRY.create(backend, options)
-
 
 #: Sentinel for :func:`make_collector` overrides — ``None`` is a meaningful
 #: value for several knobs (``round_timeout=None`` waits forever), so the
@@ -514,14 +385,26 @@ def make_collector(
     redispatch: bool = True,
     retry_seed: int = 0,
 ) -> GradientCollector:
-    """Build the collect strategy a config describes (the one public path).
+    """Build the collect strategy a config describes (the one constructor).
 
     ``config`` is a :class:`~repro.utils.config.TrainingConfig`, an
     :class:`~repro.utils.config.ExperimentConfig` (its ``training`` is
     used), or ``None`` (defaults).  Keyword overrides take precedence over
-    the config's fields — pass only what should differ.  Dispatches
-    through :data:`COLLECTOR_REGISTRY`, so registered third-party backends
-    construct through the same code path as the built-ins.
+    the config's fields — pass only what should differ.
+
+    ``n_workers <= 1`` (or ``backend="sequential"``) gives the sequential
+    strategy; otherwise ``"thread"`` and ``"process"`` give a
+    :class:`~repro.fl.transport.collector.LocalFleetCollector` over
+    ``n_workers`` localhost worker threads or ``repro-worker``
+    subprocesses.  ``"distributed"`` ignores ``n_workers`` and drives the
+    fleet named by ``workers`` (``host:port`` specs) through a
+    :class:`~repro.fl.transport.collector.DistributedCollector`.
+
+    ``connect_timeout``/``round_timeout``/``redispatch``/``retry_seed``
+    shape every fleet backend's recovery ladder and are ignored by the
+    sequential backend; ``wire_codec`` picks the distributed backend's
+    wire format (local fleets ship raw frames); ``fault_schedule`` injects
+    deterministic faults into any backend.
     """
     training = getattr(config, "training", config)
 
@@ -530,14 +413,36 @@ def make_collector(
             return override
         return getattr(training, name, default) if training is not None else default
 
-    return build_collector(
-        n_workers=_field(n_workers, "n_workers", 1),
-        backend=_field(backend, "collect_backend", "thread"),
-        workers=_field(workers, "workers", None),
-        connect_timeout=_field(connect_timeout, "connect_timeout", 10.0),
-        round_timeout=_field(round_timeout, "round_timeout", 120.0),
+    requested = _field(backend, "collect_backend", "thread")
+    name = str(requested).strip().lower()
+    if name not in COLLECT_BACKENDS:
+        raise ValueError(
+            f"collect backend must be one of {COLLECT_BACKENDS}, "
+            f"got {requested!r}"
+        )
+    count = int(_field(n_workers, "n_workers", 1))
+    if name == "sequential" or (name != "distributed" and count <= 1):
+        return SequentialCollector(fault_schedule=fault_schedule)
+    fleet_options: Dict[str, Any] = {
+        "connect_timeout": _field(connect_timeout, "connect_timeout", 10.0),
+        "round_timeout": _field(round_timeout, "round_timeout", 120.0),
+        "fault_schedule": fault_schedule,
+        "redispatch": redispatch,
+        "retry_seed": retry_seed,
+    }
+    # Imported here: the transport subsystem pulls in socket machinery
+    # that purely sequential runs never need.
+    from repro.fl.transport.collector import DistributedCollector, LocalFleetCollector
+
+    if name != "distributed":
+        return LocalFleetCollector(name, count, **fleet_options)
+    addresses = _field(workers, "workers", None)
+    if not addresses:
+        raise ValueError(
+            "collect_backend='distributed' requires workers=[host:port, ...]"
+        )
+    return DistributedCollector(
+        list(addresses),
         wire_codec=_field(wire_codec, "wire_codec", "raw"),
-        fault_schedule=fault_schedule,
-        redispatch=redispatch,
-        retry_seed=retry_seed,
+        **fleet_options,
     )

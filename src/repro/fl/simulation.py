@@ -92,8 +92,7 @@ class FederatedSimulation:
             reply (``None`` waits forever).
         wire_codec: distributed backend only — the gradient wire codec its
             shard frames travel in (``"raw"`` default; see
-            :mod:`repro.fl.transport.codec`).  A stateful codec's
-            per-client residuals are captured/restored with checkpoints.
+            :mod:`repro.fl.transport.codec`).
         fault_schedule: a :class:`~repro.fl.faults.FaultSchedule` of
             deterministic injected faults, honoured by every backend
             (ignored when ``collector`` is given — configure the collector
@@ -501,7 +500,6 @@ class FederatedSimulation:
             client_rng_states=client_states,
             attack_state=self.attack.state_dict(),
             recorder_state=self.recorder.to_dict(),
-            codec_states=self.collector.codec_states(),
             config=config,
         )
 
@@ -544,12 +542,8 @@ class FederatedSimulation:
                 client.loader.rng_state = state
         self.recorder = RunRecorder.from_dict(checkpoint.recorder_state or {})
         # Drop worker-held copies of model/client state: the next collect
-        # rebuilds the fleet from the restored objects above.  Codec state
-        # loads *after* the close (which clears the collector's cache) so
-        # the rebuilt fleet resumes a stateful wire codec's residuals.
+        # rebuilds the fleet from the restored objects above.
         self.collector.close()
-        if checkpoint.codec_states:
-            self.collector.load_codec_states(checkpoint.codec_states)
         return int(checkpoint.rounds_completed)
 
     def run(

@@ -4,9 +4,9 @@ This package takes the :class:`~repro.fl.collector.GradientCollector`
 contract across the network: length-prefixed binary framing over TCP
 (:mod:`~repro.fl.transport.framing`), a pickle-free codec for
 ``Module.state_dict()`` broadcasts plus pluggable gradient wire codecs
-for the shard replies — ``raw``, ``sign1bit``, ``int8``, ``fp16``,
-``topk`` (:mod:`~repro.fl.transport.codec`), a versioned handshake with a
-model signature check, codec negotiation, and heartbeats
+for the shard replies — ``raw``, ``sign1bit``, ``int8``, ``fp16``
+(:mod:`~repro.fl.transport.codec`), a versioned handshake with a
+model signature check and codec negotiation
 (:mod:`~repro.fl.transport.protocol`),
 the ``repro-worker`` server (:mod:`~repro.fl.transport.worker`), and the
 :class:`DistributedCollector` backend that drives a fleet of workers
@@ -29,7 +29,6 @@ from repro.fl.transport.codec import (
     Int8Codec,
     RawCodec,
     Sign1BitCodec,
-    TopKCodec,
     build_codec,
     model_signature,
     wire_codec_names,
@@ -73,7 +72,6 @@ __all__ = [
     "Sign1BitCodec",
     "Int8Codec",
     "Fp16Codec",
-    "TopKCodec",
     "CodecError",
     "build_codec",
     "wire_codec_names",

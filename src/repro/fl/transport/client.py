@@ -26,14 +26,11 @@ from repro.fl.client import FederatedClient
 from repro.fl.transport.codec import (
     MSG_BYE,
     MSG_HELLO,
-    MSG_PING,
-    MSG_PONG,
     MSG_READY,
     MSG_RESET,
     MSG_ROUND,
     MSG_SETUP,
     MSG_SHARD,
-    MSG_STATE,
     MSG_TRAILER,
     MSG_WELCOME,
     RawCodec,
@@ -50,7 +47,6 @@ from repro.fl.transport.protocol import (
 )
 from repro.nn.module import Module
 from repro.utils.rng import RngLike, as_rng
-from repro.utils.serialization import blob_to_arrays
 
 
 def parse_address(spec: str) -> tuple:
@@ -121,6 +117,9 @@ class WorkerConnection:
         self.wire_codec = self._codec.name
         self._channel: Optional[Channel] = None
         self.has_shard = False
+        #: Whether the worker unpickles SETUP payloads (its WELCOME says;
+        #: a hand-launched ``repro-worker`` needs ``--allow-pickle-setup``).
+        self.accepts_pickle_setup = True
         self._drained_sent = 0
         self._drained_received = 0
         #: Successful connects after the first — how often this worker's
@@ -173,6 +172,7 @@ class WorkerConnection:
             raise
         self._channel = channel
         self.has_shard = bool(header.get("has_shard"))
+        self.accepts_pickle_setup = bool(header.get("accepts_pickle_setup", True))
         if self._ever_connected:
             self.reconnects += 1
         self._ever_connected = True
@@ -222,32 +222,14 @@ class WorkerConnection:
         client_ids: Sequence[int],
         clients: Sequence[FederatedClient],
         rng_states: Optional[Dict[int, dict]] = None,
-        codec_states: Optional[Dict[int, np.ndarray]] = None,
     ) -> None:
         """Ship the worker its population shard (once per worker process).
 
         This is the protocol's largest transfer (every client carries its
         local dataset), so it runs under ``round_timeout`` — the knob
         sized for bulk payloads — not the handshake's ``connect_timeout``.
-        ``codec_states`` resumes a stateful wire codec's per-client state
-        (topk error-feedback residuals) alongside the RNG states.
         """
-        channel = self._require_channel()
-        channel.settimeout(self.round_timeout)
-        channel.send(
-            MSG_SETUP,
-            {},
-            pickle.dumps(
-                (
-                    model,
-                    [int(i) for i in client_ids],
-                    list(clients),
-                    rng_states,
-                    codec_states,
-                )
-            ),
-        )
-        channel.expect(MSG_READY)
+        self._send_setup({}, model, client_ids, clients, rng_states)
         self.has_shard = True
 
     def extend(
@@ -255,31 +237,45 @@ class WorkerConnection:
         client_ids: Sequence[int],
         clients: Sequence[FederatedClient],
         rng_states: Optional[Dict[int, dict]] = None,
-        codec_states: Optional[Dict[int, np.ndarray]] = None,
     ) -> None:
         """Merge extra clients into the worker's *existing* shard.
 
         This is the re-dispatch path: when another worker dies mid-round,
-        its clients (with their last-known RNG states, and — for a
-        stateful wire codec — their last-known residuals) are shipped to
-        a survivor, which then recomputes the lost rows.  The worker
-        keeps its original clients; the merged ones are replaced if
-        already present.  Requires a held shard (the worker refuses
-        otherwise — merging into nothing would skip the model transfer).
+        its clients (with their last-known RNG states) are shipped to a
+        survivor, which then recomputes the lost rows.  The worker keeps
+        its original clients; the merged ones are replaced if already
+        present.  Requires a held shard (the worker refuses otherwise —
+        merging into nothing would skip the model transfer).
+        """
+        self._send_setup({"merge": True}, None, client_ids, clients, rng_states)
+
+    def _send_setup(
+        self,
+        header: Dict[str, Any],
+        model: Optional[Module],
+        client_ids: Sequence[int],
+        clients: Sequence[FederatedClient],
+        rng_states: Optional[Dict[int, dict]],
+    ) -> None:
+        """Ship one pickled SETUP body and wait for ``READY``.
+
+        Raises :class:`~repro.fl.transport.protocol.HandshakeError` before
+        sending anything when the worker's WELCOME said it refuses pickled
+        SETUP payloads.
         """
         channel = self._require_channel()
+        if not self.accepts_pickle_setup:
+            raise HandshakeError(
+                f"worker {self.address} refuses pickled SETUP payloads "
+                "(started without --allow-pickle-setup); restart it with the "
+                "flag if you trust every caller that can reach it"
+            )
         channel.settimeout(self.round_timeout)
         channel.send(
             MSG_SETUP,
-            {"merge": True},
+            header,
             pickle.dumps(
-                (
-                    None,
-                    [int(i) for i in client_ids],
-                    list(clients),
-                    rng_states,
-                    codec_states,
-                )
+                (model, [int(i) for i in client_ids], list(clients), rng_states)
             ),
         )
         channel.expect(MSG_READY)
@@ -336,34 +332,6 @@ class WorkerConnection:
             self._codec.decode(payload, out)
         _, body = channel.expect(MSG_TRAILER)
         return pickle.loads(body)
-
-    def fetch_codec_state(self) -> Dict[int, np.ndarray]:
-        """Fetch the worker's per-client wire-codec state (for checkpoints).
-
-        Returns an empty dict for stateless codecs; for ``topk`` it is the
-        worker-held error-feedback residual per client id.
-        """
-        channel = self._require_channel()
-        channel.settimeout(self.round_timeout)
-        channel.send(MSG_STATE)
-        _, body = channel.expect(MSG_STATE)
-        return {
-            int(client_id): residual.copy()
-            for client_id, residual in blob_to_arrays(body).items()
-        }
-
-    def ping(self) -> bool:
-        """Heartbeat: True when the worker answers PONG in time."""
-        if self._channel is None:
-            return False
-        try:
-            self._channel.settimeout(self.connect_timeout)
-            self._channel.send(MSG_PING)
-            self._channel.expect(MSG_PONG)
-            return True
-        except (TransportError, OSError):
-            self.drop()
-            return False
 
     def drop(self) -> None:
         """Abandon the connection (after an error); the socket is closed."""

@@ -30,13 +30,10 @@ into its round buffer.  The registered codecs:
 ``int8`` / ``fp16``
     Linear 8-bit quantization (per-row scale ``max(|g|)/127``) and a
     float16 downcast — 8x / 4x smaller than raw float64.
-``topk``
-    Deterministic per-row top-k sparsification (largest ``|value|``
-    entries, stable index tie-break) with per-client error-feedback
-    residuals: what a round leaves out is added back into the client's
-    next round, so the compression error telescopes instead of
-    accumulating.  The residuals are worker-side state, fetched for
-    checkpoints and re-shipped at setup like client RNG states.
+
+Every codec is a pure function of its shard: nothing carries over from
+one round (or one client) to the next, so a re-dispatched or resumed
+client needs no codec state shipped with it.
 
 Lossy codecs refuse non-finite payloads with :class:`CodecError` rather
 than silently corrupting them (``raw`` round-trips them bit-exactly);
@@ -71,9 +68,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -97,11 +93,8 @@ MSG_READY = 5  #: worker → caller: shard installed and signature-verified.
 MSG_ROUND = 6  #: caller → worker: per-round state dict + row slice.
 MSG_SHARD = 7  #: worker → caller: gradient-shard announcement (raw frame next).
 MSG_TRAILER = 8  #: worker → caller: losses, batch stats, RNG states, timing.
-MSG_PING = 9  #: caller → worker: heartbeat probe.
-MSG_PONG = 10  #: worker → caller: heartbeat reply.
 MSG_BYE = 11  #: caller → worker: clean disconnect (worker keeps its shard).
 MSG_RESET = 12  #: caller → worker: discard the held shard (re-setup follows).
-MSG_STATE = 13  #: both ways: fetch / report stateful-codec state (topk residuals).
 
 MESSAGE_NAMES = {
     MSG_HELLO: "HELLO",
@@ -112,11 +105,8 @@ MESSAGE_NAMES = {
     MSG_ROUND: "ROUND",
     MSG_SHARD: "SHARD",
     MSG_TRAILER: "TRAILER",
-    MSG_PING: "PING",
-    MSG_PONG: "PONG",
     MSG_BYE: "BYE",
     MSG_RESET: "RESET",
-    MSG_STATE: "STATE",
 }
 
 _ENVELOPE = struct.Struct("!BI")
@@ -202,14 +192,14 @@ def wire_codec_names() -> Tuple[str, ...]:
     return tuple(GRADIENT_CODECS.names())
 
 
-def build_codec(name: str, **kwargs: Any) -> "GradientCodec":
+def build_codec(name: str) -> "GradientCodec":
     """Instantiate the wire codec registered under ``name``.
 
     Raises ``ValueError`` (not ``KeyError``) on an unknown name so config
     validation surfaces it uniformly with the other registry checks.
     """
     try:
-        codec = GRADIENT_CODECS.create(name, **kwargs)
+        codec = GRADIENT_CODECS.create(name)
     except KeyError:
         raise ValueError(
             f"unknown wire codec {name!r}; registered: "
@@ -274,39 +264,21 @@ class GradientCodec:
     calls :meth:`decode` on the received frame, writing into its round
     buffer.  ``decode(encode(x))`` is bit-exact for lossless codecs
     (:attr:`lossless`) and a documented, bounded approximation otherwise.
-
-    Stateful codecs (:attr:`stateful` — currently ``topk``'s per-client
-    error-feedback residuals) expose :meth:`state_dict` /
-    :meth:`load_state_dict` keyed by global client id; the state lives on
-    the encoding (worker) side and is fetched by the caller only for
-    checkpoints.
     """
 
     #: Registry name, also the value negotiated in the handshake.
     name: str = ""
     #: True when decode(encode(x)) is bit-exact for every accepted input.
     lossless: bool = False
-    #: True when encode() carries per-client state across rounds.
-    stateful: bool = False
 
-    def encode(
-        self, shard: Array, client_ids: Optional[Sequence[int]] = None
-    ) -> bytes:
-        """Encode a ``(rows, dim)`` shard; row *r* belongs to
-        ``client_ids[r]`` (stateful codecs require the ids)."""
+    def encode(self, shard: Array) -> bytes:
+        """Encode a ``(rows, dim)`` shard."""
         raise NotImplementedError
 
     def decode(self, payload: bytes, out: Array) -> None:
         """Decode ``payload`` into the preallocated ``(rows, dim)`` buffer
         ``out``; raises :class:`CodecError` on any shape/size mismatch."""
         raise NotImplementedError
-
-    def state_dict(self) -> Dict[int, Array]:
-        """Per-client codec state (``{}`` for stateless codecs)."""
-        return {}
-
-    def load_state_dict(self, states: Dict[int, Array]) -> None:
-        """Replace the codec's per-client state (no-op when stateless)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
@@ -325,9 +297,7 @@ class RawCodec(GradientCodec):
     name = "raw"
     lossless = True
 
-    def encode(
-        self, shard: Array, client_ids: Optional[Sequence[int]] = None
-    ) -> bytes:
+    def encode(self, shard: Array) -> bytes:
         return _as_shard(shard).tobytes()
 
     def decode(self, payload: bytes, out: Array) -> None:
@@ -358,9 +328,7 @@ class Sign1BitCodec(GradientCodec):
 
     name = "sign1bit"
 
-    def encode(
-        self, shard: Array, client_ids: Optional[Sequence[int]] = None
-    ) -> bytes:
+    def encode(self, shard: Array) -> bytes:
         shard = _as_shard(shard)
         _require_finite(shard, self.name)
         rows, dim = shard.shape
@@ -405,9 +373,7 @@ class Int8Codec(GradientCodec):
 
     name = "int8"
 
-    def encode(
-        self, shard: Array, client_ids: Optional[Sequence[int]] = None
-    ) -> bytes:
+    def encode(self, shard: Array) -> bytes:
         shard = _as_shard(shard)
         _require_finite(shard, self.name)
         rows, dim = shard.shape
@@ -462,9 +428,7 @@ class Fp16Codec(GradientCodec):
 
     name = "fp16"
 
-    def encode(
-        self, shard: Array, client_ids: Optional[Sequence[int]] = None
-    ) -> bytes:
+    def encode(self, shard: Array) -> bytes:
         shard = _as_shard(shard)
         _require_finite(shard, self.name)
         rows, dim = shard.shape
@@ -491,122 +455,3 @@ class Fp16Codec(GradientCodec):
             )
         half = np.frombuffer(payload, dtype=np.float16, offset=offset)
         out[...] = half.reshape(rows, dim).astype(out.dtype)
-
-
-_TOPK_HEADER = struct.Struct("!IIIB")  # rows, dim, k, value itemsize
-
-
-@GRADIENT_CODECS.register("topk")
-class TopKCodec(GradientCodec):
-    """Deterministic top-k sparsification with error-feedback residuals.
-
-    Per row, the ``k = ceil(density * dim)`` largest-magnitude entries of
-    ``g + residual`` are shipped (uint32 indices + full-precision
-    values); everything left out becomes the client's next-round
-    residual, so the compression error telescopes across rounds instead
-    of accumulating.  Selection is deterministic: a stable sort on
-    magnitude breaks ties by index.
-
-    The residuals are **encoder-side state** keyed by global client id.
-    They live in the worker that owns the client; the collector fetches
-    them for checkpoints (``MSG_STATE``) and re-ships them at setup, like
-    client RNG states.  A residual whose shape or dtype no longer matches
-    the shard (a new model or precision) is silently discarded — the
-    codec restarts that client from a zero residual.  When a worker dies
-    mid-run, its clients' residuals fall back to the collector's
-    last-fetched copy (or zero): a bounded, documented perturbation of
-    the compression error, never a corruption.
-    """
-
-    name = "topk"
-    stateful = True
-
-    def __init__(self, density: float = 1.0 / 16.0) -> None:
-        if not 0.0 < density <= 1.0:
-            raise ValueError(f"topk density must be in (0, 1], got {density}")
-        self.density = float(density)
-        self.residuals: Dict[int, Array] = {}
-
-    def _k(self, dim: int) -> int:
-        return min(dim, max(1, math.ceil(self.density * dim))) if dim else 0
-
-    def encode(
-        self, shard: Array, client_ids: Optional[Sequence[int]] = None
-    ) -> bytes:
-        shard = _as_shard(shard)
-        _require_finite(shard, self.name)
-        rows, dim = shard.shape
-        if client_ids is None:
-            raise CodecError(
-                "wire codec 'topk' requires the shard's client ids (its "
-                "error-feedback residuals are keyed by client)"
-            )
-        ids = [int(i) for i in client_ids]
-        if len(ids) != rows:
-            raise CodecError(
-                f"topk got {rows} shard rows but {len(ids)} client ids"
-            )
-        k = self._k(dim)
-        pieces = [_TOPK_HEADER.pack(rows, dim, k, shard.dtype.itemsize)]
-        for row, client_id in enumerate(ids):
-            residual = self.residuals.get(client_id)
-            if (
-                residual is None
-                or residual.shape != (dim,)
-                or residual.dtype != shard.dtype
-            ):
-                residual = np.zeros(dim, dtype=shard.dtype)
-            work = shard[row] + residual
-            # Stable sort on -|work|: ties resolve to the lowest index on
-            # every platform, so worker placement cannot change the wire.
-            top = np.argsort(-np.abs(work), kind="stable")[:k]
-            indices = np.sort(top).astype(np.uint32)
-            values = np.ascontiguousarray(work[indices])
-            next_residual = work.copy()
-            next_residual[indices] = 0.0
-            self.residuals[client_id] = next_residual
-            pieces.append(indices.tobytes())
-            pieces.append(values.tobytes())
-        return b"".join(pieces)
-
-    def decode(self, payload: bytes, out: Array) -> None:
-        if len(payload) < _TOPK_HEADER.size:
-            raise CodecError("topk payload shorter than its header")
-        rows, dim, k, itemsize = _TOPK_HEADER.unpack_from(payload)
-        out = _check_out(out, rows, dim, self.name)
-        if itemsize != out.dtype.itemsize:
-            raise CodecError(
-                f"topk payload carries {itemsize}-byte values but the "
-                f"buffer dtype is {out.dtype}"
-            )
-        row_bytes = k * (4 + itemsize)
-        expected = _TOPK_HEADER.size + rows * row_bytes
-        if len(payload) != expected:
-            raise CodecError(
-                f"topk payload is {len(payload)} bytes, expected {expected}"
-            )
-        out[...] = 0.0
-        offset = _TOPK_HEADER.size
-        for row in range(rows):
-            indices = np.frombuffer(payload, dtype=np.uint32, count=k, offset=offset)
-            values = np.frombuffer(
-                payload, dtype=out.dtype, count=k, offset=offset + k * 4
-            )
-            if k and (len(indices) != len(np.unique(indices)) or indices[-1] >= dim):
-                raise CodecError(
-                    f"topk row {row} carries out-of-range or duplicate indices"
-                )
-            out[row, indices] = values
-            offset += row_bytes
-
-    def state_dict(self) -> Dict[int, Array]:
-        return {
-            client_id: residual.copy()
-            for client_id, residual in self.residuals.items()
-        }
-
-    def load_state_dict(self, states: Dict[int, Array]) -> None:
-        self.residuals = {
-            int(client_id): np.array(residual, copy=True)
-            for client_id, residual in (states or {}).items()
-        }

@@ -152,10 +152,9 @@ class DistributedCollector(GradientCollector):
         self.worker_addresses = specs
         self.n_workers = len(specs)
         self.redispatch = bool(redispatch)
-        # One decode-side codec instance validates the name up front; each
-        # connection holds its own instance for the actual decoding.
-        self._codec = build_codec(wire_codec)
-        self.wire_codec = self._codec.name
+        # Validate the name up front; each connection builds its own
+        # instance for the actual decoding.
+        self.wire_codec = build_codec(wire_codec).name
         self._conns = [
             WorkerConnection(
                 spec,
@@ -183,12 +182,6 @@ class DistributedCollector(GradientCollector):
         #: Latest known post-round RNG state per client id, fed into worker
         #: (re-)setups so resumed clients continue their streams bit-exactly.
         self._rng_states: Dict[int, dict] = {}
-        #: Last-known per-client wire-codec state (topk error-feedback
-        #: residuals), refreshed by :meth:`codec_states` fetches and fed
-        #: into worker (re-)setups.  Deliberately NOT cleared when the
-        #: fleet is rebuilt: a checkpoint restore loads it *before* the
-        #: rebuild, and workers discard mismatched residuals themselves.
-        self._codec_states: Dict[int, np.ndarray] = {}
         #: Client ids whose gradients the last ``collect`` could not obtain
         #: because their worker died or timed out (rows left NaN).
         self.failed_rows: Tuple[int, ...] = ()
@@ -198,8 +191,9 @@ class DistributedCollector(GradientCollector):
         self.last_round_redispatched: Tuple[int, ...] = ()
         #: Successful worker reconnects during the last ``collect``.
         self.last_round_reconnects: int = 0
-        # Most recent permanent handshake refusal (surfaced when the whole
-        # fleet turns out unreachable — usually a codec/version mismatch).
+        # Most recent permanent refusal (surfaced when the whole fleet turns
+        # out unreachable — usually a codec/version mismatch, or a worker
+        # started without --allow-pickle-setup).
         self._last_handshake_refusal: Optional[HandshakeError] = None
 
     # -- fleet management ----------------------------------------------------
@@ -247,35 +241,19 @@ class DistributedCollector(GradientCollector):
                         if int(i) in self._rng_states
                     }
                     or None,
-                    self._chunk_codec_states(chunk),
                 )
                 self._needs_setup[index] = False
             except HandshakeError as exc:
                 # A refusal is permanent (wrong version, codec, or model
-                # signature); remember it so an all-refused fleet raises
-                # the reason instead of a bare "unreachable".
+                # signature, or no pickled SETUP); remember it so an
+                # all-refused fleet raises the reason instead of a bare
+                # "unreachable".
                 self._last_handshake_refusal = exc
                 conn.drop()
                 self._needs_setup[index] = True
             except (TransportError, FrameError, CodecError, OSError):
                 conn.drop()
                 self._needs_setup[index] = True
-
-    def _chunk_codec_states(
-        self, ids: Sequence[int]
-    ) -> Optional[Dict[int, np.ndarray]]:
-        """The cached codec state slice to ship with a (re-)setup."""
-        if not self._codec.stateful:
-            return None
-        return {
-            int(i): self._codec_states[int(i)]
-            for i in ids
-            if int(i) in self._codec_states
-        } or None
-
-    def heartbeat(self) -> Dict[str, bool]:
-        """Ping every connected worker; ``{address: alive}``."""
-        return {conn.address: conn.ping() for conn in self._conns}
 
     # -- the collect contract ------------------------------------------------
 
@@ -442,11 +420,6 @@ class DistributedCollector(GradientCollector):
                     [clients[i] for i in ids],
                     {i: self._rng_states[i] for i in ids if i in self._rng_states}
                     or None,
-                    # Best effort for a stateful codec: the dead worker's
-                    # residuals since the last checkpoint fetch are lost (a
-                    # bounded, documented perturbation); the survivor adopts
-                    # the last-known cached ones.
-                    self._chunk_codec_states(ids),
                 )
                 conn.begin_round(state_blob, ids, out.dtype, dim)
                 scratch = np.empty((len(ids), dim), dtype=out.dtype)
@@ -474,38 +447,6 @@ class DistributedCollector(GradientCollector):
         """
         return dict(self._rng_states)
 
-    def codec_states(self) -> Dict[int, np.ndarray]:
-        """Per-client wire-codec state for checkpointing.
-
-        For a stateless codec this is empty.  For ``topk`` the
-        error-feedback residuals live inside the workers; this fetches
-        them from every live worker (refreshing the caller-side cache
-        used by re-setups) and returns copies.
-        """
-        if not self._codec.stateful:
-            return {}
-        for index, conn in enumerate(self._conns):
-            if not conn.connected or self._needs_setup[index]:
-                continue
-            try:
-                self._codec_states.update(conn.fetch_codec_state())
-            except (TransportError, FrameError, CodecError, OSError):
-                conn.drop()
-                self._needs_setup[index] = True
-        return {
-            client_id: residual.copy()
-            for client_id, residual in self._codec_states.items()
-        }
-
-    def load_codec_states(self, states: Dict[int, np.ndarray]) -> None:
-        """Adopt checkpointed codec state; shipped at the next (re-)setup."""
-        self._codec_states = {
-            # repro-lint: disable=dtype-discipline -- checkpointed residuals
-            # keep the dtype they were saved with (the codec negotiated it).
-            int(client_id): np.asarray(residual).copy()
-            for client_id, residual in states.items()
-        }
-
     def _mark_failed(
         self, index: int, rows: np.ndarray, failed: List[int]
     ) -> None:
@@ -527,7 +468,6 @@ class DistributedCollector(GradientCollector):
         self._source_clients = None
         self._source_model = None
         self._rng_states = {}
-        self._codec_states = {}
         self._needs_setup = [True] * self.n_workers
 
 

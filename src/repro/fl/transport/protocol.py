@@ -17,7 +17,8 @@ The wire conversation between a caller (the
    not support, or — when it already holds a population shard from an
    earlier connection — on a signature mismatch.  Otherwise it answers
    ``WELCOME`` with ``has_shard`` so the caller knows whether setup is
-   needed.
+   needed, and ``accepts_pickle_setup`` so a caller never ships a setup
+   the worker would refuse.
 2. **Setup** (only when the worker has no shard) — caller sends ``SETUP``
    carrying its chunk of the client population and a model replica; the
    worker verifies the replica's signature against the one claimed in
@@ -29,10 +30,7 @@ The wire conversation between a caller (the
    into the caller's round buffer — and ``TRAILER`` (losses, BatchNorm
    batch statistics, post-round client RNG states, timing, first client
    error).
-4. **Heartbeats** — ``PING``/``PONG`` at any point between rounds;
-   ``STATE`` fetches a stateful codec's per-client state (topk
-   error-feedback residuals) for checkpointing.
-5. **Goodbye** — ``BYE``; the worker keeps its shard and accepts the next
+4. **Goodbye** — ``BYE``; the worker keeps its shard and accepts the next
    connection, so a restarted caller can resume without re-shipping.
 """
 
@@ -60,7 +58,10 @@ from repro.fl.transport.framing import (
 #: (See the bump rules in :mod:`repro.fl.transport.codec`.)
 #: v2: HELLO negotiates the gradient wire codec (``wire_codec`` field);
 #: SHARD frames carry codec-encoded payloads for non-raw codecs.
-PROTOCOL_VERSION = 2
+#: v3: the SETUP body is ``(model, client_ids, clients, rng_states)`` —
+#: the per-client codec-state slot is gone with the stateful ``topk``
+#: codec — and the ``PING``/``PONG``/``STATE`` messages are retired.
+PROTOCOL_VERSION = 3
 
 #: Leading bytes of every HELLO header's ``magic`` field.
 PROTOCOL_MAGIC = "repro-collect"

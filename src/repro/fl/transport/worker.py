@@ -75,14 +75,11 @@ from repro.fl.transport.codec import (
     MSG_BYE,
     MSG_ERROR,
     MSG_HELLO,
-    MSG_PING,
-    MSG_PONG,
     MSG_READY,
     MSG_RESET,
     MSG_ROUND,
     MSG_SETUP,
     MSG_SHARD,
-    MSG_STATE,
     MSG_TRAILER,
     MSG_WELCOME,
     CodecError,
@@ -97,7 +94,6 @@ from repro.fl.transport.framing import DEFAULT_MAX_FRAME_BYTES, FrameError
 from repro.fl.transport.protocol import PROTOCOL_VERSION, Channel, check_hello
 from repro.nn.module import Module
 from repro.perf.timers import monotonic
-from repro.utils.serialization import arrays_to_blob
 
 
 class WorkerServer:
@@ -166,11 +162,6 @@ class WorkerServer:
         self._model: Optional[Module] = None
         self._clients: Dict[int, FederatedClient] = {}
         self._signature: Optional[str] = None
-        # Wire-codec instances, one per negotiated codec name, kept across
-        # connections alongside the shard: a stateful codec's per-client
-        # residuals must survive a caller reconnect exactly like the
-        # clients' RNG streams do.
-        self._codecs: Dict[str, GradientCodec] = {}
         self._rounds_received = 0
         self._hellos_received = 0
 
@@ -254,6 +245,7 @@ class WorkerServer:
             self._refuse(channel, refusal)
             return
         wire_codec = header.get("wire_codec", "raw")
+        codec = build_codec(wire_codec)
         channel.send(
             MSG_WELCOME,
             {
@@ -271,48 +263,24 @@ class WorkerServer:
             msg_type, header, body = channel.recv()
             if msg_type == MSG_BYE:
                 return
-            if msg_type == MSG_PING:
-                channel.send(MSG_PONG, {"has_shard": self.has_shard})
-            elif msg_type == MSG_STATE:
-                codec = self._codec(wire_codec)
-                channel.send(
-                    MSG_STATE,
-                    {"wire_codec": codec.name, "stateful": codec.stateful},
-                    arrays_to_blob(
-                        {
-                            str(client_id): residual
-                            for client_id, residual in codec.state_dict().items()
-                        }
-                    ),
-                )
-            elif msg_type == MSG_RESET:
+            if msg_type == MSG_RESET:
                 # The caller disowns whatever shard this worker holds — a new
-                # setup (usually with resumed RNG + codec states) follows.
+                # setup (usually with resumed RNG states) follows.
                 self._model = None
                 self._clients = {}
                 self._signature = None
-                self._codecs = {}
                 channel.send(MSG_READY, {"num_clients": 0})
             elif msg_type == MSG_SETUP:
                 if header.get("merge"):
-                    if not self._handle_merge(channel, wire_codec, body):
+                    if not self._handle_merge(channel, body):
                         return
-                elif not self._handle_setup(
-                    channel, claimed_signature, wire_codec, body
-                ):
+                elif not self._handle_setup(channel, claimed_signature, body):
                     return
             elif msg_type == MSG_ROUND:
-                self._handle_round(channel, header, body, wire_codec)
+                self._handle_round(channel, header, body, codec)
             else:
                 self._refuse(channel, f"unexpected message type {msg_type}")
                 return
-
-    def _codec(self, name: str) -> GradientCodec:
-        """The (cached) codec instance negotiated under ``name``."""
-        codec = self._codecs.get(name)
-        if codec is None:
-            codec = self._codecs[name] = build_codec(name)
-        return codec
 
     def _refuse_pickle_setup(self, channel: Channel) -> None:
         self._refuse(
@@ -323,13 +291,13 @@ class WorkerServer:
         )
 
     def _handle_setup(
-        self, channel: Channel, claimed_signature: str, wire_codec: str, body: bytes
+        self, channel: Channel, claimed_signature: str, body: bytes
     ) -> bool:
         if not self.allow_pickle_setup:
             self._refuse_pickle_setup(channel)
             return False
         try:
-            model, client_ids, clients, rng_states, codec_states = pickle.loads(body)
+            model, client_ids, clients, rng_states = pickle.loads(body)
         except Exception as exc:
             # Most often a caller-local client class this process cannot
             # import; the shard is refused but the worker keeps serving.
@@ -351,14 +319,10 @@ class WorkerServer:
         self._model = model
         self._clients = dict(zip(client_ids, clients))
         self._signature = signature
-        if codec_states:
-            # A resumed shard also resumes the wire codec's per-client state
-            # (topk error-feedback residuals) at the checkpointed values.
-            self._codec(wire_codec).load_state_dict(codec_states)
         channel.send(MSG_READY, {"num_clients": len(clients)})
         return True
 
-    def _handle_merge(self, channel: Channel, wire_codec: str, body: bytes) -> bool:
+    def _handle_merge(self, channel: Channel, body: bytes) -> bool:
         """Merge re-dispatched clients into the held shard (no model ships)."""
         if not self.allow_pickle_setup:
             self._refuse_pickle_setup(channel)
@@ -367,7 +331,7 @@ class WorkerServer:
             self._refuse(channel, "merge SETUP requires an existing shard")
             return False
         try:
-            _, client_ids, clients, rng_states, codec_states = pickle.loads(body)
+            _, client_ids, clients, rng_states = pickle.loads(body)
         except Exception as exc:
             self._refuse(channel, f"SETUP payload failed to unpickle: {exc!r}")
             return False
@@ -378,17 +342,11 @@ class WorkerServer:
             for client_id, state in rng_states.items():
                 clients[client_ids.index(client_id)].loader.rng_state = state
         self._clients.update(zip(client_ids, clients))
-        if codec_states:
-            # Merge (not replace): this worker keeps the residuals of the
-            # clients it already held and adopts the re-dispatched ones'
-            # last-known residuals from the caller's cache.
-            codec = self._codec(wire_codec)
-            codec.load_state_dict({**codec.state_dict(), **codec_states})
         channel.send(MSG_READY, {"num_clients": len(self._clients)})
         return True
 
     def _handle_round(
-        self, channel: Channel, header: dict, body: bytes, wire_codec: str
+        self, channel: Channel, header: dict, body: bytes, codec: GradientCodec
     ) -> None:
         self._rounds_received += 1
         if self.fault_schedule.fires("crash", self._rounds_received):
@@ -471,7 +429,6 @@ class WorkerServer:
                     f"{error!r}"
                 )
         rng_states = {row: self._clients[row].loader.rng_state for row, _ in losses}
-        codec = self._codec(wire_codec)
         if isinstance(codec, RawCodec):
             # Fast path, byte-identical to the pre-codec protocol: the SHARD
             # header carries no codec key and the frame is the shard's bytes.
@@ -483,7 +440,7 @@ class WorkerServer:
                 # raises the error without aggregating, but a lossy codec
                 # (rightly) refuses non-finite input — neutralise it.
                 np.nan_to_num(shard, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-            payload = codec.encode(shard, rows)
+            payload = codec.encode(shard)
             channel.send(
                 MSG_SHARD,
                 {"rows": len(rows), "nbytes": len(payload), "codec": codec.name},

@@ -5,11 +5,12 @@ reproduction.  It exposes:
 
 * :class:`Parameter` / :class:`Module` — the layer abstraction (explicit
   ``forward`` / ``backward``, accumulated gradients).
-* layers — ``Linear``, ``Conv2d``, pooling, ``BatchNorm``, ``Dropout``,
-  ``Embedding``, ``Sequential``, residual blocks.
+* layers — ``Linear``, ``Conv2d``, max and global-average pooling,
+  ``BatchNorm``, ``Dropout``, ``Embedding``, ``Sequential``, residual
+  blocks, and the ``ReLU`` activation.
 * recurrent layers — ``RNN``, ``LSTM``, bidirectional wrappers.
-* losses — ``CrossEntropyLoss``, ``MSELoss``.
-* optimizers — ``SGD`` with momentum and weight decay, LR schedules.
+* losses — ``CrossEntropyLoss``.
+* optimizers — ``SGD`` with momentum and weight decay.
 * vectorization helpers — flatten/unflatten model parameters and gradients
   into the 1-D vectors that the federated-learning layer exchanges.
 
@@ -19,9 +20,8 @@ than a stub.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
@@ -36,8 +36,8 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.recurrent import LSTM, RNN, BiRNN
-from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.optim import SGD, ConstantLR, StepLR
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.optim import SGD
 from repro.nn.vectorize import (
     count_parameters,
     get_flat_gradients,
@@ -50,13 +50,9 @@ __all__ = [
     "Module",
     "Parameter",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
@@ -70,10 +66,7 @@ __all__ = [
     "LSTM",
     "BiRNN",
     "CrossEntropyLoss",
-    "MSELoss",
     "SGD",
-    "StepLR",
-    "ConstantLR",
     "count_parameters",
     "get_flat_parameters",
     "set_flat_parameters",

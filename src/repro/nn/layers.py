@@ -230,50 +230,6 @@ class MaxPool2d(Module):
         return grad_input
 
 
-class AvgPool2d(Module):
-    """Average pooling with a square window (stride defaults to window size)."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        super().__init__()
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be >= 1")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._input_shape: tuple = ()
-        self._out_hw: tuple = ()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        self._input_shape = x.shape
-        out_h = conv_output_size(height, self.kernel_size, self.stride, 0)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, 0)
-        self._out_hw = (out_h, out_w)
-        output = np.zeros((batch, channels, out_h, out_w), dtype=x.dtype)
-        for ky in range(self.kernel_size):
-            for kx in range(self.kernel_size):
-                output += x[
-                    :,
-                    :,
-                    ky : ky + self.stride * out_h : self.stride,
-                    kx : kx + self.stride * out_w : self.stride,
-                ]
-        return output / (self.kernel_size * self.kernel_size)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out_h, out_w = self._out_hw
-        grad_input = np.zeros(self._input_shape, dtype=grad_output.dtype)
-        scaled = grad_output / (self.kernel_size * self.kernel_size)
-        for ky in range(self.kernel_size):
-            for kx in range(self.kernel_size):
-                grad_input[
-                    :,
-                    :,
-                    ky : ky + self.stride * out_h : self.stride,
-                    kx : kx + self.stride * out_w : self.stride,
-                ] += scaled
-        return grad_input
-
-
 class GlobalAvgPool2d(Module):
     """Average over the full spatial extent, producing (batch, channels)."""
 

@@ -85,33 +85,6 @@ class CrossEntropyLoss:
         return self.forward(logits, targets)
 
 
-class MSELoss:
-    """Mean squared error over arbitrary-shaped predictions."""
-
-    def __init__(self):
-        self._difference: Optional[np.ndarray] = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions = np.asarray(predictions)
-        predictions = predictions.astype(floating_dtype(predictions.dtype), copy=False)
-        targets = np.asarray(targets, dtype=predictions.dtype)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: predictions {predictions.shape} "
-                f"vs targets {targets.shape}"
-            )
-        self._difference = predictions - targets
-        return float(np.mean(self._difference**2))
-
-    def backward(self) -> np.ndarray:
-        if self._difference is None:
-            raise RuntimeError("forward must be called before backward")
-        return 2.0 * self._difference / self._difference.size
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)
-
-
 def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Top-1 classification accuracy."""
     logits = np.asarray(logits)

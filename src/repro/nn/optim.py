@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules.
+"""The server and client optimizer: momentum SGD.
 
 The paper trains every task with momentum SGD (momentum 0.9, weight decay
 5e-4).  ``SGD`` follows the standard PyTorch formulation: weight decay is
@@ -7,7 +7,7 @@ added to the gradient before the momentum update.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -122,52 +122,3 @@ class SGD:
             restored.append(velocity.astype(param.data.dtype, copy=True))
         self._velocities = restored
         self.lr = float(state["lr"])
-
-
-class ConstantLR:
-    """Constant learning-rate schedule (no-op)."""
-
-    def __init__(self, optimizer: SGD):
-        self.optimizer = optimizer
-
-    def step(self) -> float:
-        """Return the (unchanged) learning rate."""
-        return self.optimizer.lr
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: SGD, step_size: int, gamma: float = 0.1):
-        if step_size < 1:
-            raise ValueError(f"step_size must be >= 1, got {step_size}")
-        if gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch and return the possibly-decayed learning rate."""
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-        return self.optimizer.lr
-
-
-class MultiStepLR:
-    """Decay the learning rate at each milestone epoch."""
-
-    def __init__(self, optimizer: SGD, milestones: Sequence[int], gamma: float = 0.1):
-        self.optimizer = optimizer
-        self.milestones = sorted(int(m) for m in milestones)
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch and return the possibly-decayed learning rate."""
-        self._epoch += 1
-        if self._epoch in self.milestones:
-            self.optimizer.lr *= self.gamma
-        return self.optimizer.lr

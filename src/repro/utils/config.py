@@ -89,9 +89,9 @@ class TrainingConfig:
     ``wire_codec`` picks the gradient wire codec of the distributed
     backend's shard frames (see :mod:`repro.fl.transport.codec`):
     ``"raw"`` (default — lossless, the pre-codec wire format byte for
-    byte), ``"sign1bit"``, ``"int8"``, ``"fp16"``, or ``"topk"``.  The
-    non-raw codecs trade the collect contract's bit-exactness for a
-    16–64× smaller gradient frame; the local ``"thread"``/``"process"``
+    byte), ``"sign1bit"``, ``"int8"``, or ``"fp16"``.  The non-raw codecs
+    trade the collect contract's bit-exactness for a 4–64× smaller
+    gradient frame; the local ``"thread"``/``"process"``
     fleets and the sequential backend take only ``"raw"``.
 
     ``participation`` selects which clients train each round (see

@@ -172,15 +172,18 @@ class TestCheckpointFile:
             "config": None,
         }
         meta_bytes = json.dumps(meta).encode("utf-8")
-        path.write_bytes(
-            CHECKPOINT_MAGIC
-            + struct.pack("!I", 1)
-            + struct.pack("!I", len(meta_bytes))
-            + meta_bytes
-            + arrays_to_blob({"bogus": np.zeros(2)})
-        )
-        with pytest.raises(ValueError, match="unknown array"):
-            load_checkpoint(path)
+        # Wire codecs hold no per-client state, so a ``codec.<client id>``
+        # array is as foreign as any other name.
+        for name in ("bogus", "codec.3"):
+            path.write_bytes(
+                CHECKPOINT_MAGIC
+                + struct.pack("!I", 1)
+                + struct.pack("!I", len(meta_bytes))
+                + meta_bytes
+                + arrays_to_blob({name: np.zeros(2)})
+            )
+            with pytest.raises(ValueError, match=f"unknown array '{name}'"):
+                load_checkpoint(path)
 
 
 class TestCaptureRestore:

@@ -1,10 +1,7 @@
-"""The collector factory API: registry dispatch, config-driven construction.
+"""The collector constructor: backend dispatch, config-driven construction.
 
-``make_collector`` is the one public path from a config to a collect
-strategy; ``build_collector`` keeps its original keyword surface for
-callers that predate the factory.  Both dispatch through
-``COLLECTOR_REGISTRY``, so a registered third-party backend constructs
-exactly like the built-ins.
+``make_collector`` is the one public path from a config (or keyword
+overrides) to a collect strategy, for every name in ``COLLECT_BACKENDS``.
 """
 
 from __future__ import annotations
@@ -13,62 +10,56 @@ import numpy as np
 import pytest
 
 from repro import ExperimentConfig, TrainingConfig
-from repro.fl import (
-    COLLECT_BACKENDS,
-    COLLECTOR_REGISTRY,
-    SequentialCollector,
-    build_collector,
-    make_collector,
-)
+from repro.fl import COLLECT_BACKENDS, SequentialCollector, make_collector
 from repro.fl.transport import DistributedCollector, LocalFleetCollector
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(COLLECT_BACKENDS) <= set(COLLECTOR_REGISTRY.names())
+        # Every documented backend name builds through the one constructor.
+        expected = {
+            "sequential": SequentialCollector,
+            "thread": LocalFleetCollector,
+            "process": LocalFleetCollector,
+            "distributed": DistributedCollector,
+        }
+        assert set(COLLECT_BACKENDS) == set(expected)
+        for backend in COLLECT_BACKENDS:
+            collector = make_collector(
+                backend=backend, n_workers=2, workers=["127.0.0.1:1"]
+            )
+            assert type(collector) is expected[backend]
+            collector.close()
 
     def test_unknown_backend_keeps_documented_error(self):
         with pytest.raises(ValueError, match="collect backend must be one of"):
-            build_collector(2, "carrier-pigeon")
+            make_collector(backend="carrier-pigeon", n_workers=2)
 
     def test_backend_names_are_case_insensitive(self):
-        collector = build_collector(1, "Sequential")
+        collector = make_collector(backend="Sequential", n_workers=1)
         assert isinstance(collector, SequentialCollector)
-
-    def test_third_party_backend_constructs_through_the_factory(self):
-        class RecordingCollector(SequentialCollector):
-            def __init__(self, options):
-                super().__init__(fault_schedule=options["fault_schedule"])
-                self.options = options
-
-        COLLECTOR_REGISTRY.register("test_recording", RecordingCollector)
-        try:
-            collector = make_collector(
-                backend="test_recording", wire_codec="int8"
-            )
-            assert isinstance(collector, RecordingCollector)
-            assert collector.options["wire_codec"] == "int8"
-        finally:
-            COLLECTOR_REGISTRY._factories.pop("test_recording")
 
 
 class TestBuildCollector:
-    """The pre-factory keyword surface keeps working unchanged."""
+    """Keyword-only construction, without a config."""
 
     def test_sequential(self):
-        assert isinstance(build_collector(1, "sequential"), SequentialCollector)
+        assert isinstance(
+            make_collector(backend="sequential", n_workers=1), SequentialCollector
+        )
 
     def test_thread(self):
-        collector = build_collector(4, "thread")
+        collector = make_collector(backend="thread", n_workers=4)
         assert isinstance(collector, LocalFleetCollector)
         assert (collector.kind, collector.n_workers) == ("thread", 4)
 
     def test_single_worker_degrades_to_sequential(self):
-        assert isinstance(build_collector(1, "thread"), SequentialCollector)
-        assert isinstance(build_collector(1, "process"), SequentialCollector)
+        for backend in ("thread", "process"):
+            collector = make_collector(backend=backend, n_workers=1)
+            assert isinstance(collector, SequentialCollector)
 
     def test_process(self):
-        collector = build_collector(2, "process")
+        collector = make_collector(backend="process", n_workers=2)
         try:
             assert isinstance(collector, LocalFleetCollector)
             assert (collector.kind, collector.n_workers) == ("process", 2)
@@ -76,9 +67,9 @@ class TestBuildCollector:
             collector.close()
 
     def test_distributed_passes_codec_and_timeouts(self):
-        collector = build_collector(
-            1,
-            "distributed",
+        collector = make_collector(
+            backend="distributed",
+            n_workers=1,
             workers=["127.0.0.1:1"],
             round_timeout=None,
             wire_codec="sign1bit",
@@ -92,9 +83,9 @@ class TestBuildCollector:
         from tests.test_fl_parallel_collect import make_clients, make_model
 
         schedule = FaultSchedule.from_args(["crash@9"])
-        collector = build_collector(
-            2,
-            "thread",
+        collector = make_collector(
+            backend="thread",
+            n_workers=2,
             round_timeout=None,
             redispatch=False,
             fault_schedule=schedule,
@@ -112,7 +103,7 @@ class TestBuildCollector:
 
     def test_distributed_requires_workers(self):
         with pytest.raises(ValueError, match="requires workers"):
-            build_collector(1, "distributed")
+            make_collector(backend="distributed", n_workers=1)
 
 
 class TestMakeCollector:
@@ -138,11 +129,11 @@ class TestMakeCollector:
         config = TrainingConfig(
             collect_backend="distributed",
             workers=["127.0.0.1:1"],
-            wire_codec="topk",
+            wire_codec="int8",
         )
         collector = make_collector(config)
         assert isinstance(collector, DistributedCollector)
-        assert collector.wire_codec == "topk"
+        assert collector.wire_codec == "int8"
 
     def test_overrides_beat_the_config(self):
         config = TrainingConfig(collect_backend="thread", n_workers=4)

@@ -25,7 +25,7 @@ import pytest
 from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
 from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
-from repro.fl.collector import SequentialCollector, build_collector, make_collector
+from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.experiment import run_experiment
 from repro.fl.metrics import evaluate_model
 from repro.fl.transport import LocalFleetCollector
@@ -283,19 +283,23 @@ class TestWorkerCounts:
             LocalFleetCollector("greenlet", 2)
 
     def test_build_collector_dispatch(self):
-        assert isinstance(build_collector(1), SequentialCollector)
+        assert isinstance(make_collector(n_workers=1), SequentialCollector)
         for backend in ("thread", "process"):
-            collector = build_collector(4, backend)
+            collector = make_collector(backend=backend, n_workers=4)
             assert isinstance(collector, LocalFleetCollector)
             assert (collector.kind, collector.n_workers) == (backend, 4)
             assert collector.fleet is None  # workers start at first collect
-        assert build_collector(4).kind == "thread"
-        assert isinstance(build_collector(4, "sequential"), SequentialCollector)
-        assert isinstance(build_collector(1, "process"), SequentialCollector)
+        assert make_collector(n_workers=4).kind == "thread"
+        assert isinstance(
+            make_collector(backend="sequential", n_workers=4), SequentialCollector
+        )
+        assert isinstance(
+            make_collector(backend="process", n_workers=1), SequentialCollector
+        )
 
     def test_build_collector_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="collect backend"):
-            build_collector(4, "greenlet")
+            make_collector(backend="greenlet", n_workers=4)
 
     def test_collector_reusable_after_close(self):
         collector = make_collector(backend="thread", n_workers=2)
@@ -403,7 +407,11 @@ class TestBufferInvalidation:
 
     @pytest.mark.parametrize("make_collector", [SequentialCollector, None])
     def test_stale_rows_are_nan_after_failure(self, make_collector):
-        collector = make_collector() if make_collector else build_collector(2, "thread")
+        # The parameter shadows the module's make_collector (renaming it
+        # would rename both test ids), so the fleet is built directly.
+        collector = (
+            make_collector() if make_collector else LocalFleetCollector("thread", 2)
+        )
         clients = explode(make_clients(4), 2)
         model = make_model()
         # Simulate a buffer still holding the previous round's gradients.

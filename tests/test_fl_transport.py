@@ -31,7 +31,7 @@ from repro import (
 )
 from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
-from repro.fl.collector import SequentialCollector, build_collector
+from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.experiment import run_experiment
 from repro.fl.faults import FaultSchedule
 from repro.fl.participation import ParticipationSchedule, RoundPlan
@@ -46,7 +46,6 @@ from repro.fl.transport import (
     TransportError,
     TruncatedFrameError,
     WorkerConnection,
-    WorkerServer,
     build_codec,
     model_signature,
     parse_address,
@@ -276,18 +275,6 @@ class TestHandshake:
                 fleet.addresses[0], hello_header(model_signature(make_model()))
             )
             assert msg == MSG_WELCOME
-
-    def test_heartbeat(self):
-        with start_thread_fleet(2) as fleet:
-            clients = make_clients(4)
-            model = make_model()
-            out = np.empty((4, model.num_parameters()))
-            collector = DistributedCollector(fleet.addresses)
-            collector.collect(clients, model, out)
-            assert collector.heartbeat() == {
-                address: True for address in fleet.addresses
-            }
-            collector.close()
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +758,12 @@ class TestConfigValidation:
             ).validate()
 
     def test_build_collector_distributed(self):
-        collector = build_collector(1, "distributed", workers=["127.0.0.1:1"])
+        collector = make_collector(
+            backend="distributed", n_workers=1, workers=["127.0.0.1:1"]
+        )
         assert isinstance(collector, DistributedCollector)
         with pytest.raises(ValueError, match="requires workers"):
-            build_collector(1, "distributed")
+            make_collector(backend="distributed", n_workers=1)
 
     def test_duplicate_workers_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -822,8 +811,8 @@ class TestWorkerProcessLifecycle:
 # ---------------------------------------------------------------------------
 
 
-ALL_CODECS = ("fp16", "int8", "raw", "sign1bit", "topk")
-LOSSY_CODECS = ("sign1bit", "int8", "fp16", "topk")
+ALL_CODECS = ("fp16", "int8", "raw", "sign1bit")
+LOSSY_CODECS = ("sign1bit", "int8", "fp16")
 #: Shapes every codec must round-trip, including the degenerate ones and a
 #: dim that is not a multiple of 8 (exercises sign1bit's packbits padding).
 CODEC_SHAPES = [(0, 5), (3, 0), (0, 0), (1, 1), (4, 7), (2, 33)]
@@ -834,13 +823,8 @@ def _shard(shape, dtype=np.float64, seed=0, scale=1.0):
     return (rng.standard_normal(shape) * scale).astype(dtype)
 
 
-def _make_codec(name):
-    # density=0.5 keeps topk lossy but non-trivial on tiny test shards.
-    return build_codec(name, density=0.5) if name == "topk" else build_codec(name)
-
-
 def _roundtrip(codec, shard):
-    payload = codec.encode(shard, list(range(shard.shape[0])))
+    payload = codec.encode(shard)
     out = np.empty_like(shard)
     codec.decode(payload, out)
     return out
@@ -853,20 +837,14 @@ class TestCodecRegistry:
     def test_unknown_codec_is_value_error(self):
         with pytest.raises(ValueError, match="unknown wire codec"):
             build_codec("gzip")
+        with pytest.raises(ValueError, match="unknown wire codec"):
+            build_codec("topk")
 
     def test_flags(self):
         for name in ALL_CODECS:
-            codec = _make_codec(name)
+            codec = build_codec(name)
             assert codec.name == name
             assert codec.lossless == (name == "raw")
-            assert codec.stateful == (name == "topk")
-
-    def test_topk_density_validated(self):
-        assert build_codec("topk", density=0.25).density == 0.25
-        with pytest.raises(ValueError, match="density"):
-            build_codec("topk", density=0.0)
-        with pytest.raises(ValueError, match="density"):
-            build_codec("topk", density=1.5)
 
 
 class TestCodecRoundtrip:
@@ -875,7 +853,7 @@ class TestCodecRoundtrip:
     @pytest.mark.parametrize("shape", CODEC_SHAPES)
     def test_shapes_and_dtypes(self, name, dtype, shape):
         shard = _shard(shape, dtype=dtype, seed=3)
-        out = _roundtrip(_make_codec(name), shard)
+        out = _roundtrip(build_codec(name), shard)
         assert out.shape == shard.shape and out.dtype == shard.dtype
         assert np.all(np.isfinite(out))
         if shard.size == 0:  # empty and zero-row shards round-trip exactly
@@ -884,10 +862,7 @@ class TestCodecRoundtrip:
     @pytest.mark.parametrize("name", ALL_CODECS)
     def test_wire_bytes_deterministic_across_instances(self, name):
         shard = _shard((3, 17), seed=9)
-        ids = [4, 0, 11]
-        assert _make_codec(name).encode(shard, ids) == _make_codec(name).encode(
-            shard, ids
-        )
+        assert build_codec(name).encode(shard) == build_codec(name).encode(shard)
 
     @pytest.mark.parametrize("name", ALL_CODECS)
     def test_non_contiguous_and_readonly_inputs(self, name):
@@ -896,19 +871,18 @@ class TestCodecRoundtrip:
         assert not strided.flags["C_CONTIGUOUS"]
         readonly = np.ascontiguousarray(strided)
         readonly.setflags(write=False)
-        ids = list(range(4))
-        codec = _make_codec(name)
-        reference = codec.encode(np.array(strided, copy=True), ids)
-        assert _make_codec(name).encode(strided, ids) == reference
-        assert _make_codec(name).encode(readonly, ids) == reference
+        codec = build_codec(name)
+        reference = codec.encode(np.array(strided, copy=True))
+        assert build_codec(name).encode(strided) == reference
+        assert build_codec(name).encode(readonly) == reference
 
     @pytest.mark.parametrize("name", ALL_CODECS)
     def test_non_2d_or_non_float_refused(self, name):
-        codec = _make_codec(name)
+        codec = build_codec(name)
         with pytest.raises(CodecError, match="2-D"):
-            codec.encode(np.zeros(6), [0])
+            codec.encode(np.zeros(6))
         with pytest.raises(CodecError, match="float"):
-            codec.encode(np.zeros((2, 3), dtype=np.int64), [0, 1])
+            codec.encode(np.zeros((2, 3), dtype=np.int64))
 
     @pytest.mark.parametrize("name", LOSSY_CODECS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -916,7 +890,7 @@ class TestCodecRoundtrip:
         shard = _shard((2, 8), seed=1)
         shard[1, 3] = bad
         with pytest.raises(CodecError, match="non-finite"):
-            _make_codec(name).encode(shard, [0, 1])
+            build_codec(name).encode(shard)
 
     def test_raw_ships_non_finite_bit_exactly(self):
         shard = _shard((2, 8), seed=1)
@@ -928,19 +902,19 @@ class TestCodecRoundtrip:
 
     @pytest.mark.parametrize("name", ALL_CODECS)
     def test_decode_into_wrong_shape_refused(self, name):
-        codec = _make_codec(name)
-        payload = codec.encode(_shard((2, 6)), [0, 1])
+        codec = build_codec(name)
+        payload = codec.encode(_shard((2, 6)))
         with pytest.raises(CodecError):
-            _make_codec(name).decode(payload, np.empty((3, 6)))
+            build_codec(name).decode(payload, np.empty((3, 6)))
 
     @pytest.mark.parametrize("name", ALL_CODECS)
     def test_truncated_payload_refused(self, name):
-        codec = _make_codec(name)
-        payload = codec.encode(_shard((2, 6)), [0, 1])
+        codec = build_codec(name)
+        payload = codec.encode(_shard((2, 6)))
         with pytest.raises(CodecError):
-            _make_codec(name).decode(payload[:-1], np.empty((2, 6)))
+            build_codec(name).decode(payload[:-1], np.empty((2, 6)))
         with pytest.raises(CodecError):
-            _make_codec(name).decode(b"", np.empty((2, 6)))
+            build_codec(name).decode(b"", np.empty((2, 6)))
 
     def test_sign1bit_formula(self):
         shard = _shard((5, 19), seed=7)
@@ -972,69 +946,7 @@ class TestCodecRoundtrip:
     def test_fp16_overflow_refused(self):
         shard = np.array([[1.0, 1e5]])
         with pytest.raises(CodecError, match="overflows"):
-            build_codec("fp16").encode(shard, [0])
-
-    def test_topk_requires_client_ids(self):
-        codec = _make_codec("topk")
-        with pytest.raises(CodecError, match="client ids"):
-            codec.encode(_shard((2, 8)))
-        with pytest.raises(CodecError, match="client ids"):
-            codec.encode(_shard((2, 8)), [0])  # one id for two rows
-
-    def test_topk_full_density_is_exact(self):
-        shard = _shard((3, 9), seed=4)
-        codec = build_codec("topk", density=1.0)
-        out = _roundtrip(codec, shard)
-        assert np.array_equal(out, shard)
-        for residual in codec.state_dict().values():
-            assert np.array_equal(residual, np.zeros(9))
-
-    def test_topk_sparsity_bound(self):
-        codec = build_codec("topk", density=1.0 / 16.0)
-        shard = _shard((4, 100), seed=6)
-        out = _roundtrip(codec, shard)
-        k = 7  # ceil(100 / 16)
-        assert np.all(np.count_nonzero(out, axis=1) <= k)
-
-    def test_topk_stable_tie_break_prefers_low_indices(self):
-        codec = build_codec("topk", density=0.5)
-        out = _roundtrip(codec, np.ones((1, 4)))
-        assert np.array_equal(out, [[1.0, 1.0, 0.0, 0.0]])
-
-    def test_topk_error_feedback_telescopes(self):
-        # Round 1 ships the two largest entries; round 2 (zero gradient)
-        # ships the carried residual — the two rounds sum to the gradient.
-        codec = build_codec("topk", density=0.5)
-        gradient = np.array([[4.0, -3.0, 2.0, 1.0]])
-        first = _roundtrip(codec, gradient)
-        assert np.array_equal(first, [[4.0, -3.0, 0.0, 0.0]])
-        assert np.array_equal(codec.state_dict()[0], [0.0, 0.0, 2.0, 1.0])
-        second = _roundtrip(codec, np.zeros((1, 4)))
-        assert np.array_equal(second, [[0.0, 0.0, 2.0, 1.0]])
-        assert np.array_equal(first + second, gradient)
-        assert np.array_equal(codec.state_dict()[0], np.zeros(4))
-
-    def test_topk_state_dict_roundtrip_copies(self):
-        codec = build_codec("topk", density=0.5)
-        codec.encode(_shard((2, 8), seed=8), [3, 9])
-        state = codec.state_dict()
-        assert sorted(state) == [3, 9]
-        state[3][...] = 99.0  # mutating the copy must not touch the codec
-        assert not np.array_equal(codec.residuals[3], state[3])
-        other = build_codec("topk", density=0.5)
-        other.load_state_dict(state)
-        assert np.array_equal(other.residuals[3], state[3])
-        state[9][...] = -1.0
-        assert not np.array_equal(other.residuals[9], state[9])
-
-    def test_topk_discards_mismatched_residual(self):
-        # A residual from another model shape (or dtype) must not poison
-        # the stream: the codec restarts that client from zero.
-        codec = build_codec("topk", density=1.0)
-        codec.load_state_dict({0: np.ones(5)})
-        shard = _shard((1, 8), seed=10)
-        out = _roundtrip(codec, shard)
-        assert np.array_equal(out, shard)
+            build_codec("fp16").encode(shard)
 
 
 # ---------------------------------------------------------------------------
@@ -1239,58 +1151,3 @@ class TestCodecEndToEnd:
         assert sign1bit <= raw / 16 + overhead
         assert int8 <= raw / 4 + overhead
         assert sign1bit < int8 < raw
-
-
-class TestTopkCheckpointResume:
-    def test_codec_states_survive_the_checkpoint_file(self, tmp_path):
-        from repro.fl.checkpoint import load_checkpoint, save_checkpoint
-
-        with start_thread_fleet(2) as fleet:
-            simulation = build_simulation(
-                DistributedCollector(fleet.addresses, wire_codec="topk")
-            )
-            try:
-                simulation.run(2)
-                checkpoint = simulation.capture_checkpoint()
-            finally:
-                simulation.close()
-        assert sorted(checkpoint.codec_states) == list(range(8))
-        path = tmp_path / "topk.ckpt"
-        save_checkpoint(checkpoint, path)
-        loaded = load_checkpoint(path)
-        assert sorted(loaded.codec_states) == sorted(checkpoint.codec_states)
-        for client_id, residual in checkpoint.codec_states.items():
-            assert np.array_equal(loaded.codec_states[client_id], residual)
-
-    def test_topk_resume_onto_a_new_fleet_is_bit_identical(self):
-        # The stateful-codec acceptance story: the error-feedback residuals
-        # ride the checkpoint, so a topk run restored onto a brand-new
-        # fleet continues bit-identically to the run that never stopped.
-        with start_thread_fleet(2) as fleet:
-            simulation = build_simulation(
-                DistributedCollector(fleet.addresses, wire_codec="topk")
-            )
-            try:
-                simulation.run(2)
-                checkpoint = simulation.capture_checkpoint()
-                simulation.run(4, start_round=2)
-                reference = simulation.recorder.to_dict()
-                reference_state = simulation.model.state_dict()
-            finally:
-                simulation.close()
-        assert sorted(checkpoint.codec_states) == list(range(8))
-
-        with start_thread_fleet(2) as fleet:
-            replacement = build_simulation(
-                DistributedCollector(fleet.addresses, wire_codec="topk")
-            )
-            try:
-                assert replacement.restore_checkpoint(checkpoint) == 2
-                replacement.run(4, start_round=2)
-                resumed = replacement.recorder.to_dict()
-                resumed_state = replacement.model.state_dict()
-            finally:
-                replacement.close()
-        assert resumed == reference
-        for name in reference_state:
-            assert np.array_equal(resumed_state[name], reference_state[name])

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU
 
 
 @pytest.mark.parametrize(
     "layer_factory",
-    [ReLU, lambda: LeakyReLU(0.1), Sigmoid, Tanh],
-    ids=["relu", "leaky_relu", "sigmoid", "tanh"],
+    [ReLU],
+    ids=["relu"],
 )
 def test_backward_matches_finite_differences(layer_factory, rng, gradcheck):
     layer = layer_factory()
@@ -36,23 +36,3 @@ class TestReLU:
         layer(np.array([-1.0, 3.0]))
         grad = layer.backward(np.array([5.0, 5.0]))
         np.testing.assert_array_equal(grad, [0.0, 5.0])
-
-
-class TestLeakyReLU:
-    def test_negative_slope_applied(self):
-        out = LeakyReLU(0.2)(np.array([-10.0, 10.0]))
-        np.testing.assert_allclose(out, [-2.0, 10.0])
-
-    def test_rejects_negative_slope_parameter(self):
-        with pytest.raises(ValueError):
-            LeakyReLU(-0.1)
-
-
-class TestSigmoidTanh:
-    def test_sigmoid_range(self, rng):
-        out = Sigmoid()(rng.normal(size=100) * 10)
-        assert np.all((out >= 0) & (out <= 1))
-
-    def test_tanh_range(self, rng):
-        out = Tanh()(rng.normal(size=100) * 10)
-        assert np.all((out >= -1) & (out <= 1))

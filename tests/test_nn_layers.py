@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
@@ -113,15 +112,6 @@ class TestPooling:
     def test_maxpool_input_gradient(self, rng, gradcheck):
         layer = MaxPool2d(2)
         check_input_gradient(layer, rng.normal(size=(2, 2, 4, 4)), gradcheck)
-
-    def test_avgpool_forward(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2)(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_input_gradient(self, rng, gradcheck):
-        layer = AvgPool2d(2)
-        check_input_gradient(layer, rng.normal(size=(2, 1, 4, 4)), gradcheck)
 
     def test_global_avgpool(self, rng, gradcheck):
         layer = GlobalAvgPool2d()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import CrossEntropyLoss, MSELoss, accuracy
+from repro.nn.losses import CrossEntropyLoss, accuracy
 
 
 class TestCrossEntropyLoss:
@@ -43,25 +43,6 @@ class TestCrossEntropyLoss:
     def test_batch_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CrossEntropyLoss()(np.zeros((3, 2)), np.zeros(4, dtype=int))
-
-
-class TestMSELoss:
-    def test_value(self):
-        loss = MSELoss()(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-        assert loss == pytest.approx(2.5)
-
-    def test_gradient_matches_finite_differences(self, rng, gradcheck):
-        loss_fn = MSELoss()
-        predictions = rng.normal(size=(4, 3))
-        targets = rng.normal(size=(4, 3))
-        loss_fn(predictions, targets)
-        analytic = loss_fn.backward()
-        numeric = gradcheck(lambda p: MSELoss()(p, targets), predictions.copy())
-        np.testing.assert_allclose(analytic, numeric, atol=1e-7)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestAccuracy:

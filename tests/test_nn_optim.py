@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, ConstantLR, MultiStepLR, StepLR
+from repro.nn.optim import SGD
 
 
 def make_param(value=1.0, grad=0.5):
@@ -71,35 +71,3 @@ class TestSGD:
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
-
-
-class TestSchedulers:
-    def test_constant_lr(self):
-        optimizer = SGD([make_param()], lr=0.2)
-        assert ConstantLR(optimizer).step() == 0.2
-
-    def test_step_lr_decays_every_period(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        scheduler.step()
-        assert optimizer.lr == pytest.approx(1.0)
-        scheduler.step()
-        assert optimizer.lr == pytest.approx(0.1)
-
-    def test_multistep_lr_decays_at_milestones(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        scheduler = MultiStepLR(optimizer, milestones=[1, 3], gamma=0.5)
-        lrs = [scheduler.step() for _ in range(4)]
-        assert lrs == [
-            pytest.approx(0.5),
-            pytest.approx(0.5),
-            pytest.approx(0.25),
-            pytest.approx(0.25),
-        ]
-
-    def test_step_lr_validation(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=1, gamma=0.0)

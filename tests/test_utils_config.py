@@ -70,7 +70,7 @@ class TestTrainingConfig:
         assert TrainingConfig().wire_codec == "raw"
 
     @pytest.mark.parametrize(
-        "wire_codec", ["raw", "sign1bit", "int8", "fp16", "topk"]
+        "wire_codec", ["raw", "sign1bit", "int8", "fp16"]
     )
     def test_registered_wire_codecs_valid_on_distributed(self, wire_codec):
         TrainingConfig(

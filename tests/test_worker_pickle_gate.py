@@ -9,19 +9,27 @@ that untrusted peers can reach must be able to refuse them.  The gate:
   only with ``--allow-pickle-setup``;
 * the fleet helpers (thread fleet, local subprocess fleet) keep working
   untouched — they serve only their own caller over loopback;
-* the ``WELCOME`` header advertises ``accepts_pickle_setup`` so callers
-  can fail fast.
+* the ``WELCOME`` header advertises ``accepts_pickle_setup``, and the
+  caller fails fast on it: it ships nothing and reports the refusal.
 """
 
 import pickle
 import socket
 
+import numpy as np
 import pytest
 
+from repro.fl.transport import DistributedCollector, WorkerConnection
 from repro.fl.transport.codec import MSG_ERROR, MSG_HELLO, MSG_SETUP, MSG_WELCOME
 from repro.fl.transport.fleet import spawn_worker_process
-from repro.fl.transport.protocol import Channel, hello_header
+from repro.fl.transport.protocol import (
+    Channel,
+    HandshakeError,
+    TransportError,
+    hello_header,
+)
 from repro.fl.transport.worker import WorkerServer, main as worker_main
+from tests.test_fl_parallel_collect import make_clients, make_model
 
 
 def _handshake(address: str, signature: str = "0" * 16) -> Channel:
@@ -60,7 +68,7 @@ class TestProgrammaticGate:
             channel = _handshake(server.address)
             msg_type, _, _ = channel.recv()
             assert msg_type == MSG_WELCOME
-            body = pickle.dumps((None, [], [], {}, {}))
+            body = pickle.dumps((None, [], [], {}))
             channel.send(MSG_SETUP, {"merge": True} if merge else {}, body)
             msg_type, header, _ = channel.recv()
             assert msg_type == MSG_ERROR
@@ -85,6 +93,49 @@ class TestProgrammaticGate:
             server.close()
 
 
+class TestCallerGate:
+    """A gated worker's refusal reaches the caller with its reason."""
+
+    def test_connection_ships_nothing_to_a_gated_worker(self):
+        server = WorkerServer(allow_pickle_setup=False)
+        server.start_in_thread()
+        model = make_model()
+        conn = WorkerConnection(server.address)
+        try:
+            conn.connect(model)
+            assert conn.accepts_pickle_setup is False
+            sent = conn.bytes_sent
+            for call in (
+                lambda: conn.setup(model, [0], make_clients(1)),
+                lambda: conn.extend([0], make_clients(1)),
+            ):
+                with pytest.raises(HandshakeError, match="--allow-pickle-setup"):
+                    call()
+            assert conn.bytes_sent == sent
+        finally:
+            conn.close()
+            server.close()
+
+    def test_collect_names_the_flag_instead_of_unreachable(self):
+        server = WorkerServer(allow_pickle_setup=False)
+        server.start_in_thread()
+        collector = DistributedCollector([server.address])
+        clients, model = make_clients(2), make_model()
+        try:
+            with pytest.raises(TransportError) as refusal:
+                collector.collect(clients, model, np.empty((2, model.num_parameters())))
+        finally:
+            collector.close()
+            server.close()
+        message = str(refusal.value)
+        expected = (
+            f"; last refusal: worker {server.address} refuses pickled SETUP "
+            "payloads (started without --allow-pickle-setup)"
+        )
+        assert message.startswith("no distributed-collect worker reachable")
+        assert expected in message
+
+
 class TestCliGate:
     def test_cli_defaults_to_refusing_pickles(self):
         worker = spawn_worker_process(allow_pickle_setup=False)
@@ -93,7 +144,7 @@ class TestCliGate:
             msg_type, header, _ = channel.recv()
             assert msg_type == MSG_WELCOME
             assert header["accepts_pickle_setup"] is False
-            channel.send(MSG_SETUP, {}, pickle.dumps((None, [], [], {}, {})))
+            channel.send(MSG_SETUP, {}, pickle.dumps((None, [], [], {})))
             msg_type, header, _ = channel.recv()
             assert msg_type == MSG_ERROR
             assert "allow-pickle-setup" in header["error"]
