@@ -144,6 +144,19 @@ def _require(condition: bool, message: str) -> None:
         raise SmokeFailure(message)
 
 
+def _check_floors(floors) -> None:
+    """Print each ``(name, measured, held)`` floor's verdict, then raise
+    one :class:`SmokeFailure` naming every missed floor."""
+    for name, measured, held in floors:
+        print(f"floor {'met' if held else 'MISSED'}: {name}: {measured}")
+    missed = [f"{name}: {measured}" for name, measured, held in floors if not held]
+    if missed:
+        raise SmokeFailure(
+            f"{len(missed)} of {len(floors)} regression floors missed: "
+            + "; ".join(missed)
+        )
+
+
 def make_population(n_clients: int, dim: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     signal = rng.normal(0.05, 1.0, size=dim)
@@ -818,69 +831,78 @@ def main(argv=None) -> int:
         print(f"wrote {args.output}")
 
     # ------------------------------------------------------------------
-    # Regression floors (fail loudly).
+    # Regression floors: every verdict prints before one failure names
+    # every miss, so a flaky floor cannot hide the floors after it.
     # ------------------------------------------------------------------
-    _require(
-        pipeline_speedup >= 2.0,
-        f"SignGuardPipeline speedup regressed: {pipeline_speedup:.2f}x < 2.0x",
-    )
-    _require(
-        krum_speedup >= 2.0,
-        f"round-level Krum scoring speedup regressed: {krum_speedup:.2f}x < 2.0x",
-    )
-    _require(
-        bulyan_speedup >= 2.0,
-        f"Bulyan speedup regressed: {bulyan_speedup:.2f}x < 2.0x",
-    )
-    _require(
-        meanshift_speedup >= 1.0,
-        f"Mean-Shift regressed below seed: {meanshift_speedup:.2f}x",
-    )
-    _require(
-        collect_speedup >= 2.0,
-        f"threaded collect speedup regressed: {collect_speedup:.2f}x < 2.0x "
-        f"(n={collect_clients}, {collect_workers} workers)",
-    )
-    _require(
-        sampled_collect_speedup >= 2.0,
-        "sampled round collect is not measurably cheaper than a full round: "
-        f"{sampled_collect_speedup:.2f}x < 2.0x "
-        f"(cohort {len(sampled_rows)}/{collect_clients})",
-    )
-    _require(
-        binned_meanshift_speedup >= 1.0,
-        "binned Mean-Shift regressed below the unbinned fit: "
-        f"{binned_meanshift_speedup:.2f}x",
-    )
     # Per-round overhead every codec pays identically (message envelopes,
     # pickled trailers with per-client RNG states) — allowed on top of the
     # shard-traffic compression ratios.
     codec_overhead_allowance = 64 * 1024
-    _require(
-        codec_bytes_by_name["sign1bit"]
-        <= raw_bytes_round / 16 + codec_overhead_allowance,
-        "sign1bit wire traffic misses its 16x compression floor: "
-        f"{codec_bytes_by_name['sign1bit']} bytes/round vs raw "
-        f"{raw_bytes_round}",
-    )
-    _require(
-        codec_bytes_by_name["int8"]
-        <= raw_bytes_round / 4 + codec_overhead_allowance,
-        "int8 wire traffic misses its 4x compression floor: "
-        f"{codec_bytes_by_name['int8']} bytes/round vs raw {raw_bytes_round}",
-    )
+    floors = [
+        (
+            "SignGuardPipeline speedup",
+            f"{pipeline_speedup:.2f}x, floor 2.0x",
+            pipeline_speedup >= 2.0,
+        ),
+        (
+            "round-level Krum scoring speedup",
+            f"{krum_speedup:.2f}x, floor 2.0x",
+            krum_speedup >= 2.0,
+        ),
+        ("Bulyan speedup", f"{bulyan_speedup:.2f}x, floor 2.0x", bulyan_speedup >= 2.0),
+        (
+            "Mean-Shift vs seed",
+            f"{meanshift_speedup:.2f}x, floor 1.0x",
+            meanshift_speedup >= 1.0,
+        ),
+        (
+            "threaded collect speedup",
+            f"{collect_speedup:.2f}x, floor 2.0x "
+            f"(n={collect_clients}, {collect_workers} workers)",
+            collect_speedup >= 2.0,
+        ),
+        (
+            "sampled round collect vs a full round",
+            f"{sampled_collect_speedup:.2f}x, floor 2.0x "
+            f"(cohort {len(sampled_rows)}/{collect_clients})",
+            sampled_collect_speedup >= 2.0,
+        ),
+        (
+            "binned Mean-Shift vs the unbinned fit",
+            f"{binned_meanshift_speedup:.2f}x, floor 1.0x",
+            binned_meanshift_speedup >= 1.0,
+        ),
+        (
+            "sign1bit wire traffic",
+            f"{codec_bytes_by_name['sign1bit']} bytes/round vs raw "
+            f"{raw_bytes_round}, floor 16x smaller",
+            codec_bytes_by_name["sign1bit"]
+            <= raw_bytes_round / 16 + codec_overhead_allowance,
+        ),
+        (
+            "int8 wire traffic",
+            f"{codec_bytes_by_name['int8']} bytes/round vs raw "
+            f"{raw_bytes_round}, floor 4x smaller",
+            codec_bytes_by_name["int8"]
+            <= raw_bytes_round / 4 + codec_overhead_allowance,
+        ),
+    ]
     if enforce_process_floor:
-        _require(
-            process_collect_speedup >= 1.5,
-            "process collect speedup regressed: "
-            f"{process_collect_speedup:.2f}x < 1.5x on a {cpu_count}-core host "
-            f"(n={collect_clients}, {collect_workers} workers, compute-bound)",
+        floors.append(
+            (
+                "process collect speedup",
+                f"{process_collect_speedup:.2f}x, floor 1.5x on a "
+                f"{cpu_count}-core host (n={collect_clients}, "
+                f"{collect_workers} workers, compute-bound)",
+                process_collect_speedup >= 1.5,
+            )
         )
     else:
         print(
             "process collect floor skipped: single-core host "
             f"(recorded {process_collect_speedup:.2f}x as context)"
         )
+    _check_floors(floors)
     print("all speedup floors met")
     return 0
 

@@ -6,12 +6,15 @@ aggregated gradient, the set of client rows it trusted (when meaningful), and
 free-form diagnostic info.  The SignGuard family lives in :mod:`repro.core`
 but implements the same interface, so the federated server treats all rules
 uniformly.
+
+No rule takes per-client weights: each counts a reporting client's row
+once, as SignGuard's norm-clipped mean does (Algorithm 2), so ``fedavg``
+is an alias of ``mean``.
 """
 
 from repro.aggregators.base import AggregationResult, Aggregator, ServerContext
 from repro.aggregators.mean import MeanAggregator
 from repro.aggregators.trimmed_mean import TrimmedMeanAggregator
-from repro.aggregators.weighted import WeightedMeanAggregator
 from repro.aggregators.median import CoordinateMedianAggregator
 from repro.aggregators.geometric_median import (
     GeometricMedianAggregator,
@@ -28,7 +31,6 @@ __all__ = [
     "Aggregator",
     "ServerContext",
     "MeanAggregator",
-    "WeightedMeanAggregator",
     "TrimmedMeanAggregator",
     "CoordinateMedianAggregator",
     "GeometricMedianAggregator",

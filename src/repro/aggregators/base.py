@@ -42,7 +42,6 @@ class ServerContext:
             compute cache, populated by :meth:`Aggregator.__call__` so every
             consumer (filters, features, pairwise-distance scorers) reuses
             one set of memoized norms / Gram / distance matrices.
-        extra: free-form channel.
     """
 
     round_index: int = 0
@@ -50,7 +49,6 @@ class ServerContext:
     previous_gradient: Optional[np.ndarray] = None
     num_byzantine_hint: Optional[int] = None
     batch: Optional[GradientBatch] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def make(cls, *, rng: RngLike = None, **kwargs: Any) -> "ServerContext":

@@ -17,13 +17,11 @@ from repro.aggregators.krum import KrumAggregator, MultiKrumAggregator
 from repro.aggregators.mean import MeanAggregator
 from repro.aggregators.median import CoordinateMedianAggregator
 from repro.aggregators.trimmed_mean import TrimmedMeanAggregator
-from repro.aggregators.weighted import WeightedMeanAggregator
 from repro.utils.registry import Registry
 
 AGGREGATOR_REGISTRY = Registry("aggregators")
 
 AGGREGATOR_REGISTRY.register("mean", MeanAggregator)
-AGGREGATOR_REGISTRY.register("weighted_mean", WeightedMeanAggregator)
 AGGREGATOR_REGISTRY.register("trimmed_mean", TrimmedMeanAggregator)
 AGGREGATOR_REGISTRY.register("median", CoordinateMedianAggregator)
 AGGREGATOR_REGISTRY.register("geomed", GeometricMedianAggregator)
@@ -32,7 +30,7 @@ AGGREGATOR_REGISTRY.register("multi_krum", MultiKrumAggregator)
 AGGREGATOR_REGISTRY.register("bulyan", BulyanAggregator)
 AGGREGATOR_REGISTRY.register("dnc", DivideAndConquerAggregator)
 
-AGGREGATOR_REGISTRY.register_alias("fedavg", "weighted_mean")
+AGGREGATOR_REGISTRY.register_alias("fedavg", "mean")
 AGGREGATOR_REGISTRY.register_alias("trmean", "trimmed_mean")
 AGGREGATOR_REGISTRY.register_alias("geometric_median", "geomed")
 AGGREGATOR_REGISTRY.register_alias("multikrum", "multi_krum")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -13,7 +13,7 @@ from repro.utils.validation import check_gradient_matrix
 
 @dataclass
 class AttackContext:
-    """Everything an (omniscient) attacker can see in one round.
+    """What an attack reads of one round besides the honest gradients.
 
     Under partial participation the context is *cohort-scoped*: the attacker
     only controls the Byzantine clients that were sampled and reported this
@@ -28,24 +28,12 @@ class AttackContext:
         byzantine_indices: row indices (within this round's gradient
             matrix) of the clients controlled by the attacker.
         rng: the attacker's random generator.
-        global_gradient: previous round's aggregated gradient, if any.
-        population_size: total number of clients in the federation (equals
-            ``num_clients`` under full participation; ``None`` when the
-            context was built outside the simulation).
-        cohort_client_ids: global client id of each gradient row, so
-            attacks that track clients across rounds can map row positions
-            back to the population (``None`` outside the simulation).
-        extra: free-form channel for attack-specific knowledge.
     """
 
     round_index: int
     num_clients: int
     byzantine_indices: np.ndarray
     rng: np.random.Generator
-    global_gradient: Optional[np.ndarray] = None
-    population_size: Optional[int] = None
-    cohort_client_ids: Optional[np.ndarray] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def num_byzantine(self) -> int:
@@ -59,9 +47,6 @@ class AttackContext:
         num_clients: int,
         byzantine_indices,
         rng: RngLike = None,
-        global_gradient: Optional[np.ndarray] = None,
-        population_size: Optional[int] = None,
-        cohort_client_ids=None,
     ) -> "AttackContext":
         """Convenience constructor used by tests and the simulator."""
         return cls(
@@ -69,13 +54,6 @@ class AttackContext:
             num_clients=num_clients,
             byzantine_indices=np.asarray(byzantine_indices, dtype=int),
             rng=as_rng(rng),
-            global_gradient=global_gradient,
-            population_size=population_size,
-            cohort_client_ids=(
-                None
-                if cohort_client_ids is None
-                else np.asarray(cohort_client_ids, dtype=int)
-            ),
         )
 
 

@@ -97,6 +97,7 @@ from repro.fl.faults import FaultSchedule
 from repro.nn.layers import _BatchNormBase
 from repro.nn.module import Module
 from repro.perf.timers import monotonic
+from repro.utils.validation import check_integer_in_range
 
 #: (worker_label, seconds, clients_processed) for one collect call.  The
 #: label is the worker's integer index for the sequential and local-fleet
@@ -366,83 +367,105 @@ class SequentialCollector(GradientCollector):
 #: :class:`~repro.utils.config.TrainingConfig`, in documented order.
 COLLECT_BACKENDS = ("sequential", "thread", "process", "distributed")
 
-#: Sentinel for :func:`make_collector` overrides — ``None`` is a meaningful
-#: value for several knobs (``round_timeout=None`` waits forever), so the
-#: "not overridden" marker must be something else.
-_UNSET: Any = object()
+
+def check_collect_options(
+    backend: str,
+    n_workers: int,
+    workers: Optional[Sequence[str]],
+    wire_codec: str,
+) -> str:
+    """Validate a collect configuration; return the canonical backend name.
+
+    The one copy of the collect rules, shared by
+    :meth:`~repro.utils.config.TrainingConfig.validate` and
+    :func:`make_collector`: ``backend`` is one of :data:`COLLECT_BACKENDS`
+    (case-insensitive), ``n_workers >= 1``, ``workers`` (``host:port``
+    specs) is required by ``"distributed"`` and refused elsewhere, and a
+    ``wire_codec`` other than ``"raw"`` also needs ``"distributed"`` — the
+    local fleets ship raw frames.
+    """
+    name = str(backend).strip().lower()
+    if name not in COLLECT_BACKENDS:
+        raise ValueError(
+            f"unknown collect_backend {backend!r}: collect backend must be "
+            f"one of {COLLECT_BACKENDS}"
+        )
+    check_integer_in_range(n_workers, "n_workers", minimum=1)
+    # Function-scope imports: the transport subsystem imports this module.
+    from repro.fl.transport.client import parse_address
+    from repro.fl.transport.codec import wire_codec_names
+
+    if name == "distributed":
+        if not workers:
+            raise ValueError(
+                "collect_backend='distributed' requires workers=['host:port', ...]"
+            )
+        for spec in workers:
+            parse_address(spec)
+    elif workers:
+        raise ValueError(
+            "workers= is only meaningful with collect_backend='distributed' "
+            f"(got collect_backend={name!r})"
+        )
+    if wire_codec not in wire_codec_names():
+        raise ValueError(
+            f"wire_codec must be one of {wire_codec_names()}, got {wire_codec!r}"
+        )
+    if wire_codec != "raw" and name != "distributed":
+        raise ValueError(
+            "wire_codec= is only meaningful with collect_backend="
+            "'distributed' — the local fleets ship raw frames "
+            f"(got collect_backend={name!r})"
+        )
+    return name
 
 
 def make_collector(
-    config: Any = None,
     *,
-    backend: str = _UNSET,
-    n_workers: int = _UNSET,
-    workers: Optional[Sequence[str]] = _UNSET,
-    connect_timeout: float = _UNSET,
-    round_timeout: Optional[float] = _UNSET,
-    wire_codec: str = _UNSET,
+    backend: str = "thread",
+    n_workers: int = 1,
+    workers: Optional[Sequence[str]] = None,
+    connect_timeout: float = 10.0,
+    round_timeout: Optional[float] = 120.0,
+    wire_codec: str = "raw",
     fault_schedule: Optional[FaultSchedule] = None,
     redispatch: bool = True,
     retry_seed: int = 0,
 ) -> GradientCollector:
-    """Build the collect strategy a config describes (the one constructor).
+    """Build the collect strategy these options describe (the one constructor).
 
-    ``config`` is a :class:`~repro.utils.config.TrainingConfig`, an
-    :class:`~repro.utils.config.ExperimentConfig` (its ``training`` is
-    used), or ``None`` (defaults).  Keyword overrides take precedence over
-    the config's fields — pass only what should differ.
+    The options are checked by :func:`check_collect_options`, the rules
+    :class:`~repro.utils.config.TrainingConfig` enforces, so a setting
+    this constructor would not use raises instead of being dropped.
 
-    ``n_workers <= 1`` (or ``backend="sequential"``) gives the sequential
+    ``n_workers == 1`` (or ``backend="sequential"``) gives the sequential
     strategy; otherwise ``"thread"`` and ``"process"`` give a
     :class:`~repro.fl.transport.collector.LocalFleetCollector` over
     ``n_workers`` localhost worker threads or ``repro-worker``
     subprocesses.  ``"distributed"`` ignores ``n_workers`` and drives the
     fleet named by ``workers`` (``host:port`` specs) through a
-    :class:`~repro.fl.transport.collector.DistributedCollector`.
+    :class:`~repro.fl.transport.collector.DistributedCollector`, whose
+    shard frames travel in ``wire_codec``.
 
     ``connect_timeout``/``round_timeout``/``redispatch``/``retry_seed``
     shape every fleet backend's recovery ladder and are ignored by the
-    sequential backend; ``wire_codec`` picks the distributed backend's
-    wire format (local fleets ship raw frames); ``fault_schedule`` injects
-    deterministic faults into any backend.
+    sequential backend; ``fault_schedule`` injects deterministic faults
+    into any backend.
     """
-    training = getattr(config, "training", config)
-
-    def _field(override: Any, name: str, default: Any) -> Any:
-        if override is not _UNSET:
-            return override
-        return getattr(training, name, default) if training is not None else default
-
-    requested = _field(backend, "collect_backend", "thread")
-    name = str(requested).strip().lower()
-    if name not in COLLECT_BACKENDS:
-        raise ValueError(
-            f"collect backend must be one of {COLLECT_BACKENDS}, "
-            f"got {requested!r}"
-        )
-    count = int(_field(n_workers, "n_workers", 1))
-    if name == "sequential" or (name != "distributed" and count <= 1):
+    name = check_collect_options(backend, n_workers, workers, wire_codec)
+    if name == "sequential" or (name != "distributed" and n_workers == 1):
         return SequentialCollector(fault_schedule=fault_schedule)
     fleet_options: Dict[str, Any] = {
-        "connect_timeout": _field(connect_timeout, "connect_timeout", 10.0),
-        "round_timeout": _field(round_timeout, "round_timeout", 120.0),
+        "connect_timeout": connect_timeout,
+        "round_timeout": round_timeout,
         "fault_schedule": fault_schedule,
         "redispatch": redispatch,
         "retry_seed": retry_seed,
     }
-    # Imported here: the transport subsystem pulls in socket machinery
-    # that purely sequential runs never need.
     from repro.fl.transport.collector import DistributedCollector, LocalFleetCollector
 
     if name != "distributed":
-        return LocalFleetCollector(name, count, **fleet_options)
-    addresses = _field(workers, "workers", None)
-    if not addresses:
-        raise ValueError(
-            "collect_backend='distributed' requires workers=[host:port, ...]"
-        )
+        return LocalFleetCollector(name, int(n_workers), **fleet_options)
     return DistributedCollector(
-        list(addresses),
-        wire_codec=_field(wire_codec, "wire_codec", "raw"),
-        **fleet_options,
+        list(workers or ()), wire_codec=wire_codec, **fleet_options
     )

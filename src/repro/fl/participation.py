@@ -19,7 +19,8 @@ Terminology used by the whole stack:
   streams advance, exactly as if they had participated) but miss the
   synchronous deadline; the server discards their update.
 * **active** — cohort minus dropped minus stragglers: the rows of the round
-  gradient matrix the server actually aggregates.
+  gradient matrix the server actually aggregates, each counting once (the
+  paper's Algorithm 2 is unweighted, so a plan carries no client weights).
 * **computing** — active plus stragglers: every client whose
   ``compute_gradient`` runs this round (the collect stage's work list).
 
@@ -69,10 +70,6 @@ class RoundPlan:
         active: cohort members whose gradients reach the server in time.
         dropped: cohort members that failed before computing.
         stragglers: cohort members that computed but missed the deadline.
-        weights: per-active-client aggregation weights (sum to 1).  The
-            default schedules emit uniform weights; the plan carries them so
-            weighted aggregation rules can consume them via
-            ``ServerContext.extra["participation_weights"]``.
     """
 
     round_index: int
@@ -81,21 +78,12 @@ class RoundPlan:
     active: np.ndarray
     dropped: np.ndarray
     stragglers: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self) -> None:
         n = int(self.population_size)
         if n < 1:
             raise ValueError(f"population_size must be >= 1, got {n}")
         self.cohort = _as_sorted_ids(self.cohort, "cohort", n)
-        # weights[k] belongs to active[k] *as given*: permute them together,
-        # or sorting active would silently hand weights to the wrong client.
-        active_raw = np.asarray(self.active, dtype=int).ravel()
-        weights_raw = np.asarray(self.weights, dtype=np.float64).ravel()
-        if weights_raw.shape == active_raw.shape and len(active_raw):
-            self.weights = weights_raw[np.argsort(active_raw, kind="stable")]
-        else:
-            self.weights = weights_raw
         self.active = _as_sorted_ids(self.active, "active", n)
         self.dropped = _as_sorted_ids(self.dropped, "dropped", n)
         self.stragglers = _as_sorted_ids(self.stragglers, "stragglers", n)
@@ -108,13 +96,6 @@ class RoundPlan:
             raise ValueError("active/dropped/stragglers must be disjoint")
         if not np.array_equal(np.sort(parts), self.cohort):
             raise ValueError("active + dropped + stragglers must partition cohort")
-        if self.weights.shape != self.active.shape:
-            raise ValueError(
-                f"weights must have one entry per active client "
-                f"({len(self.active)}), got {len(self.weights)}"
-            )
-        if np.any(self.weights < 0) or not np.isclose(self.weights.sum(), 1.0):
-            raise ValueError("weights must be non-negative and sum to 1")
 
     @property
     def cohort_size(self) -> int:
@@ -162,10 +143,9 @@ class RoundPlan:
         collector resumes the client from its last *completed* round, which
         is what "dropped" means everywhere else in this module.)
 
-        The surviving clients' aggregation weights are renormalized to sum
-        to 1.  Demoting every active client raises ``ValueError`` — a
-        synchronous round cannot complete with zero reports, so the caller
-        must treat that as a run-level failure, not a round-level one.
+        Demoting every active client raises ``ValueError`` — a synchronous
+        round cannot complete with zero reports, so the caller must treat
+        that as a run-level failure, not a round-level one.
         """
         ids = _as_sorted_ids(client_ids, "demoted ids", self.population_size)
         if not len(ids):
@@ -181,14 +161,6 @@ class RoundPlan:
                 "cannot demote every active client: a synchronous round "
                 "needs at least one report"
             )
-        weights = self.weights[keep]
-        total = weights.sum()
-        if total > 0:
-            weights = weights / total
-        else:
-            weights = np.full(
-                int(keep.sum()), 1.0 / int(keep.sum()), dtype=np.float64
-            )
         return RoundPlan(
             round_index=self.round_index,
             population_size=self.population_size,
@@ -196,7 +168,6 @@ class RoundPlan:
             active=self.active[keep],
             dropped=np.union1d(self.dropped, ids),
             stragglers=self.stragglers,
-            weights=weights,
         )
 
     def byzantine_positions(self, byzantine_ids) -> np.ndarray:
@@ -286,7 +257,6 @@ class _RandomizedSchedule(ParticipationSchedule):
         check_integer_in_range(population_size, "population_size", minimum=1)
         cohort = self._sample_cohort(round_index, population_size)
         active, dropped, stragglers = self._apply_failures(cohort)
-        weights = np.full(len(active), 1.0 / len(active), dtype=np.float64)
         return RoundPlan(
             round_index=round_index,
             population_size=population_size,
@@ -294,7 +264,6 @@ class _RandomizedSchedule(ParticipationSchedule):
             active=active,
             dropped=dropped,
             stragglers=stragglers,
-            weights=weights,
         )
 
 

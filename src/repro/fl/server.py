@@ -91,7 +91,6 @@ class FederatedServer:
         gradients: np.ndarray,
         *,
         num_byzantine_hint: Optional[int] = None,
-        participation_weights: Optional[np.ndarray] = None,
     ) -> AggregationResult:
         """Run the defense on the submitted gradients and update the model.
 
@@ -101,15 +100,8 @@ class FederatedServer:
         Args:
             num_byzantine_hint: per-round hint override (see
                 :meth:`make_context`).
-            participation_weights: optional per-row aggregation weights from
-                the round plan, exposed to weighted rules via
-                ``context.extra["participation_weights"]``.
         """
         context = self.make_context(num_byzantine_hint=num_byzantine_hint)
-        if participation_weights is not None:
-            context.extra["participation_weights"] = np.asarray(
-                participation_weights, dtype=np.float64
-            )
         with self.profiler.stage("aggregate"):
             result = self.aggregator(gradients, context)
         with self.profiler.stage("model_update"):

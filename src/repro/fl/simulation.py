@@ -384,9 +384,6 @@ class FederatedSimulation:
             num_clients=plan.num_active,
             byzantine_indices=byzantine_positions,
             rng=self._attack_rng,
-            global_gradient=self.server._previous_gradient,
-            population_size=self.num_clients,
-            cohort_client_ids=plan.active,
         )
         with profiler.stage("attack"):
             # The base class's apply writes in place: nothing reads the
@@ -405,7 +402,6 @@ class FederatedSimulation:
             num_byzantine_hint=scaled_byzantine_hint(
                 self.server.num_byzantine_hint, plan.num_active, self.num_clients
             ),
-            participation_weights=plan.weights,
         )
 
         confusion = selection_confusion(

@@ -2,7 +2,7 @@
 
 A :class:`WorkerConnection` owns the socket to a single worker and speaks
 the protocol in :mod:`repro.fl.transport.protocol`: handshake at connect
-time, an optional one-time population-shard setup, then per-round
+time, the population-shard setup (once per connection), then per-round
 broadcast/gather exchanges.  The
 :class:`~repro.fl.transport.collector.DistributedCollector` holds one
 connection per configured worker.
@@ -27,7 +27,6 @@ from repro.fl.transport.codec import (
     MSG_BYE,
     MSG_HELLO,
     MSG_READY,
-    MSG_RESET,
     MSG_ROUND,
     MSG_SETUP,
     MSG_SHARD,
@@ -116,7 +115,6 @@ class WorkerConnection:
         self._codec = build_codec(wire_codec)
         self.wire_codec = self._codec.name
         self._channel: Optional[Channel] = None
-        self.has_shard = False
         #: Whether the worker unpickles SETUP payloads (its WELCOME says;
         #: a hand-launched ``repro-worker`` needs ``--allow-pickle-setup``).
         self.accepts_pickle_setup = True
@@ -150,8 +148,7 @@ class WorkerConnection:
 
         Raises :class:`~repro.fl.transport.protocol.HandshakeError` (via
         the worker's ERROR reply) when the worker refuses — wrong protocol
-        version, a wire codec the worker does not serve, or a shard built
-        for a differently-shaped model.
+        version or a wire codec the worker does not serve.
         """
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.connect_timeout
@@ -171,7 +168,6 @@ class WorkerConnection:
             channel.close()
             raise
         self._channel = channel
-        self.has_shard = bool(header.get("has_shard"))
         self.accepts_pickle_setup = bool(header.get("accepts_pickle_setup", True))
         if self._ever_connected:
             self.reconnects += 1
@@ -184,9 +180,9 @@ class WorkerConnection:
         that closed mid-handshake — are retried up to ``retry_attempts``
         times with seeded exponential backoff plus jitter.  A
         :class:`~repro.fl.transport.protocol.HandshakeError` is
-        *permanent* (wrong protocol version or model signature: the
-        worker answered and said no) and is raised immediately — retrying
-        a refusal would only re-earn it.
+        *permanent* (wrong protocol version or wire codec: the worker
+        answered and said no) and is raised immediately — retrying a
+        refusal would only re-earn it.
         """
         last_error: Optional[BaseException] = None
         for attempt in range(self.retry_attempts):
@@ -209,13 +205,6 @@ class WorkerConnection:
         assert last_error is not None
         raise last_error
 
-    def reset(self) -> None:
-        """Tell the worker to discard whatever shard it holds."""
-        channel = self._require_channel()
-        channel.send(MSG_RESET)
-        channel.expect(MSG_READY)
-        self.has_shard = False
-
     def setup(
         self,
         model: Module,
@@ -223,14 +212,13 @@ class WorkerConnection:
         clients: Sequence[FederatedClient],
         rng_states: Optional[Dict[int, dict]] = None,
     ) -> None:
-        """Ship the worker its population shard (once per worker process).
+        """Ship the worker its population shard (once per connection).
 
         This is the protocol's largest transfer (every client carries its
         local dataset), so it runs under ``round_timeout`` — the knob
         sized for bulk payloads — not the handshake's ``connect_timeout``.
         """
         self._send_setup({}, model, client_ids, clients, rng_states)
-        self.has_shard = True
 
     def extend(
         self,
@@ -340,10 +328,9 @@ class WorkerConnection:
             self._drained_received += self._channel.bytes_received
             self._channel.close()
             self._channel = None
-        self.has_shard = False
 
     def close(self) -> None:
-        """Politely disconnect; the worker keeps its shard for a resume."""
+        """Politely disconnect; the worker drops this connection's shard."""
         if self._channel is not None:
             try:
                 self._channel.send(MSG_BYE)

@@ -59,9 +59,9 @@ purely additive fields a peer can ignore.  Concretely:
 
 :func:`model_signature` digests a model's architecture — the sorted
 ``(name, dtype, shape)`` table of its parameters and buffers — into a
-short hex string.  The handshake compares signatures so a caller can
-never broadcast state dicts into a worker holding a differently-shaped
-model (or a model left over from another experiment).
+short hex string.  A worker checks the model replica a ``SETUP`` ships
+against the signature its caller announced in ``HELLO``, so a caller
+can never broadcast state dicts into a differently-shaped model.
 """
 
 from __future__ import annotations
@@ -86,15 +86,14 @@ Array = npt.NDArray[Any]
 # -- message type tags -------------------------------------------------------
 
 MSG_HELLO = 1  #: caller → worker: protocol version + model signature.
-MSG_WELCOME = 2  #: worker → caller: handshake accepted (+ shard status).
+MSG_WELCOME = 2  #: worker → caller: handshake accepted (+ negotiated codec).
 MSG_ERROR = 3  #: either side: refusal with a human-readable reason.
 MSG_SETUP = 4  #: caller → worker: pickled population shard + model replica.
 MSG_READY = 5  #: worker → caller: shard installed and signature-verified.
 MSG_ROUND = 6  #: caller → worker: per-round state dict + row slice.
 MSG_SHARD = 7  #: worker → caller: gradient-shard announcement (raw frame next).
 MSG_TRAILER = 8  #: worker → caller: losses, batch stats, RNG states, timing.
-MSG_BYE = 11  #: caller → worker: clean disconnect (worker keeps its shard).
-MSG_RESET = 12  #: caller → worker: discard the held shard (re-setup follows).
+MSG_BYE = 11  #: caller → worker: clean disconnect (worker drops its shard).
 
 MESSAGE_NAMES = {
     MSG_HELLO: "HELLO",
@@ -106,7 +105,6 @@ MESSAGE_NAMES = {
     MSG_SHARD: "SHARD",
     MSG_TRAILER: "TRAILER",
     MSG_BYE: "BYE",
-    MSG_RESET: "RESET",
 }
 
 _ENVELOPE = struct.Struct("!BI")

@@ -83,7 +83,6 @@ from repro.fl.transport.codec import (
     CodecError,
     build_codec,
     encode_state_dict,
-    model_signature,
 )
 from repro.fl.transport.fleet import spawn_local_fleet, start_thread_fleet
 from repro.fl.transport.framing import DEFAULT_MAX_FRAME_BYTES, FrameError
@@ -228,8 +227,6 @@ class DistributedCollector(GradientCollector):
             try:
                 if not conn.connected:
                     conn.connect_with_retry(model)
-                if conn.has_shard:
-                    conn.reset()
                 chunk = self._chunks[index]
                 conn.setup(
                     model,
@@ -244,10 +241,9 @@ class DistributedCollector(GradientCollector):
                 )
                 self._needs_setup[index] = False
             except HandshakeError as exc:
-                # A refusal is permanent (wrong version, codec, or model
-                # signature, or no pickled SETUP); remember it so an
-                # all-refused fleet raises the reason instead of a bare
-                # "unreachable".
+                # A refusal is permanent (wrong version or codec, or no
+                # pickled SETUP); remember it so an all-refused fleet raises
+                # the reason instead of a bare "unreachable".
                 self._last_handshake_refusal = exc
                 conn.drop()
                 self._needs_setup[index] = True
@@ -490,8 +486,8 @@ class LocalFleetCollector(GradientCollector):
       it, and the next :meth:`collect` starts a fresh one (after a close,
       the caller's client objects are authoritative again, exactly as for
       :meth:`DistributedCollector.close`);
-    * a model of another architecture (parameter names, shapes or dtype)
-      also gets a fresh fleet: a standing worker refuses it;
+    * a model of another architecture is served by the same fleet: the
+      engine reconnects and each connection ships its own shard;
     * :attr:`worker_timings` label workers by their index in the fleet, not
       by their ephemeral loopback address, so profiler stages stay
       ``collect_worker_0`` … ``collect_worker_<n_workers - 1>``.
@@ -513,7 +509,6 @@ class LocalFleetCollector(GradientCollector):
         #: :meth:`close`).
         self.fleet = None
         self._collector: Optional[DistributedCollector] = None
-        self._signature: Optional[str] = None
 
     def collect(
         self,
@@ -524,10 +519,6 @@ class LocalFleetCollector(GradientCollector):
         *,
         apply_batch_stats: bool = True,
     ) -> np.ndarray:
-        signature = model_signature(model)
-        if signature != self._signature:
-            self.close()
-            self._signature = signature
         if self._collector is None:
             self.fleet = LOCAL_FLEETS[self.kind](self.n_workers)
             # Stops the workers at garbage collection or interpreter exit

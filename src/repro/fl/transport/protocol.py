@@ -13,16 +13,14 @@ The wire conversation between a caller (the
    (:func:`~repro.fl.transport.codec.model_signature`), and the gradient
    wire codec it expects shard frames in (``wire_codec``; see
    :data:`~repro.fl.transport.codec.GRADIENT_CODECS`).  The worker
-   refuses (``ERROR`` + close) on a version mismatch, on a codec it does
-   not support, or — when it already holds a population shard from an
-   earlier connection — on a signature mismatch.  Otherwise it answers
-   ``WELCOME`` with ``has_shard`` so the caller knows whether setup is
-   needed, and ``accepts_pickle_setup`` so a caller never ships a setup
-   the worker would refuse.
-2. **Setup** (only when the worker has no shard) — caller sends ``SETUP``
-   carrying its chunk of the client population and a model replica; the
-   worker verifies the replica's signature against the one claimed in
-   ``HELLO`` and answers ``READY``.
+   refuses (``ERROR`` + close) on a version mismatch or on a codec it
+   does not support.  Otherwise it answers ``WELCOME`` with the
+   negotiated codec and ``accepts_pickle_setup``, so a caller never ships
+   a setup the worker would refuse.
+2. **Setup** — caller sends ``SETUP`` carrying its chunk of the client
+   population and a model replica; the worker verifies the replica's
+   signature against the one claimed in ``HELLO`` and answers ``READY``.
+   A ``merge`` SETUP (re-dispatch) adds clients to the held shard.
 3. **Rounds** — caller sends ``ROUND`` (encoded state dict + the round's
    row slice); worker computes and answers ``SHARD`` (announcement), one
    raw frame of gradient bytes — the shard encoded by the negotiated
@@ -30,8 +28,9 @@ The wire conversation between a caller (the
    into the caller's round buffer — and ``TRAILER`` (losses, BatchNorm
    batch statistics, post-round client RNG states, timing, first client
    error).
-4. **Goodbye** — ``BYE``; the worker keeps its shard and accepts the next
-   connection, so a restarted caller can resume without re-shipping.
+4. **Goodbye** — ``BYE``.  A shard lives for one connection: the worker
+   drops it when the connection ends, cleanly or not, and the next
+   caller sets up its own.
 """
 
 from __future__ import annotations
@@ -61,7 +60,10 @@ from repro.fl.transport.framing import (
 #: v3: the SETUP body is ``(model, client_ids, clients, rng_states)`` —
 #: the per-client codec-state slot is gone with the stateful ``topk``
 #: codec — and the ``PING``/``PONG``/``STATE`` messages are retired.
-PROTOCOL_VERSION = 3
+#: v4: a shard lives for one connection — ``WELCOME`` loses its
+#: ``has_shard`` and ``num_clients`` fields, ``RESET`` is retired, and a
+#: HELLO is no longer checked against a shard kept from an earlier caller.
+PROTOCOL_VERSION = 4
 
 #: Leading bytes of every HELLO header's ``magic`` field.
 PROTOCOL_MAGIC = "repro-collect"

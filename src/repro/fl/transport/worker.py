@@ -1,7 +1,7 @@
 """The ``repro-worker`` server: serves one client-population shard over TCP.
 
-A worker owns a chunk of the federation's client population (shipped once
-at setup, together with a model replica) and then serves rounds: each
+A worker owns a chunk of the federation's client population (shipped at
+setup, together with a model replica) and then serves rounds: each
 ``ROUND`` message carries the global model's encoded ``state_dict()`` and
 the sorted global client ids to compute this round; the worker loads the
 state, runs its clients one after the other *exactly as the sequential
@@ -10,16 +10,13 @@ identically), and streams the gradient shard back as
 one raw frame followed by a trailer with losses, recorded batch
 statistics, post-round RNG states, and timing.
 
-The worker process is deliberately dumb and stateless across connections
-apart from its shard: a caller that disconnects (cleanly or by crashing)
-does not lose the shard — the next connection's handshake sees
-``has_shard=True`` and skips setup, resuming the clients' RNG streams
-where they stopped.  The flip side is intentional: while a shard is held,
-the handshake refuses callers announcing a *different* model signature
-(the acceptance contract — a broadcast can never load into a
-differently-shaped model), so repurposing a standing fleet for a new
-model architecture means restarting the workers.  Same-architecture
-callers are admitted and can ``RESET`` + re-``SETUP`` the shard.
+The worker process is deliberately dumb and stateless across connections:
+a shard lives for one connection and is dropped when that connection ends
+(cleanly or by the caller crashing).  Every caller therefore ships its own
+``SETUP``, carrying the clients' RNG states when it resumes them, and a
+standing fleet serves any model architecture.  Within a connection,
+``SETUP`` must ship a model matching the signature announced in ``HELLO``,
+so a broadcast can never load into a differently-shaped model.
 
 Run it from the console script installed with the package::
 
@@ -76,7 +73,6 @@ from repro.fl.transport.codec import (
     MSG_ERROR,
     MSG_HELLO,
     MSG_READY,
-    MSG_RESET,
     MSG_ROUND,
     MSG_SETUP,
     MSG_SHARD,
@@ -158,10 +154,9 @@ class WorkerServer:
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._closed = False
-        # The shard: installed by the first SETUP, kept across connections.
+        # The shard: installed by SETUP, dropped when its connection ends.
         self._model: Optional[Module] = None
         self._clients: Dict[int, FederatedClient] = {}
-        self._signature: Optional[str] = None
         self._rounds_received = 0
         self._hellos_received = 0
 
@@ -169,10 +164,6 @@ class WorkerServer:
     def address(self) -> str:
         """The ``host:port`` string callers pass as a worker spec."""
         return f"{self.host}:{self.port}"
-
-    @property
-    def has_shard(self) -> bool:
-        return self._model is not None
 
     # -- serving -------------------------------------------------------------
 
@@ -198,6 +189,8 @@ class WorkerServer:
                 self._refuse(channel, f"worker error: {exc!r}")
             finally:
                 channel.close()
+                self._model = None
+                self._clients = {}
 
     def start_in_thread(self) -> threading.Thread:
         """Serve from a daemon thread (in-process localhost fleets)."""
@@ -235,12 +228,6 @@ class WorkerServer:
             # being an explicit refusal, is deliberately NOT retried).
             return
         refusal = check_hello(header, self.supported_codecs)
-        claimed_signature = header.get("model_signature")
-        if refusal is None and self.has_shard and claimed_signature != self._signature:
-            refusal = (
-                f"model signature mismatch: worker holds {self._signature}, "
-                f"caller announced {claimed_signature}"
-            )
         if refusal is not None:
             self._refuse(channel, refusal)
             return
@@ -250,8 +237,6 @@ class WorkerServer:
             MSG_WELCOME,
             {
                 "protocol": PROTOCOL_VERSION,
-                "has_shard": self.has_shard,
-                "num_clients": len(self._clients),
                 "wire_codec": wire_codec,
                 # Additive field (no version bump per the codec-module bump
                 # rules): old callers ignore it, new callers can fail fast
@@ -259,18 +244,12 @@ class WorkerServer:
                 "accepts_pickle_setup": self.allow_pickle_setup,
             },
         )
+        claimed_signature = header["model_signature"]
         while True:
             msg_type, header, body = channel.recv()
             if msg_type == MSG_BYE:
                 return
-            if msg_type == MSG_RESET:
-                # The caller disowns whatever shard this worker holds — a new
-                # setup (usually with resumed RNG states) follows.
-                self._model = None
-                self._clients = {}
-                self._signature = None
-                channel.send(MSG_READY, {"num_clients": 0})
-            elif msg_type == MSG_SETUP:
+            if msg_type == MSG_SETUP:
                 if header.get("merge"):
                     if not self._handle_merge(channel, body):
                         return
@@ -318,7 +297,6 @@ class WorkerServer:
                 clients[client_ids.index(client_id)].loader.rng_state = state
         self._model = model
         self._clients = dict(zip(client_ids, clients))
-        self._signature = signature
         channel.send(MSG_READY, {"num_clients": len(clients)})
         return True
 

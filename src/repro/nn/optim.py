@@ -14,6 +14,12 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
+def check_momentum(momentum: float) -> None:
+    """Require ``0 <= momentum < 1``: at 1 the velocity never decays."""
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+
+
 class SGD:
     """Stochastic gradient descent with momentum and weight decay."""
 
@@ -31,8 +37,7 @@ class SGD:
             raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        check_momentum(momentum)
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         if nesterov and momentum == 0.0:

@@ -141,7 +141,12 @@ class TrainingConfig:
         check_integer_in_range(self.rounds, "rounds", minimum=1)
         check_integer_in_range(self.batch_size, "batch_size", minimum=1)
         check_positive(self.learning_rate, "learning_rate")
-        check_fraction(self.momentum, "momentum")
+        # Function-scope imports here and below: the rules live with the
+        # optimizer and the collect stage, and importing repro.nn or
+        # repro.fl at module level would cycle (both import repro.utils).
+        from repro.nn.optim import check_momentum
+
+        check_momentum(self.momentum)
         check_positive(self.weight_decay, "weight_decay", strict=False)
         check_integer_in_range(self.local_iterations, "local_iterations", minimum=1)
         check_positive(self.lr_decay, "lr_decay")
@@ -150,44 +155,11 @@ class TrainingConfig:
             raise ValueError(
                 f"dtype must be 'float32' or 'float64', got {self.dtype!r}"
             )
-        check_integer_in_range(self.n_workers, "n_workers", minimum=1)
-        # Function-scope import: repro.fl.collector owns the backend registry
-        # and importing it at module level would cycle (fl imports config).
-        from repro.fl.collector import COLLECT_BACKENDS
+        from repro.fl.collector import check_collect_options
 
-        if self.collect_backend not in COLLECT_BACKENDS:
-            raise ValueError(
-                f"collect_backend must be one of {COLLECT_BACKENDS}, "
-                f"got {self.collect_backend!r}"
-            )
-        if self.collect_backend == "distributed":
-            if not self.workers:
-                raise ValueError(
-                    "collect_backend='distributed' requires workers="
-                    "['host:port', ...]"
-                )
-            from repro.fl.transport.client import parse_address
-
-            for spec in self.workers:
-                parse_address(spec)
-        elif self.workers:
-            raise ValueError(
-                "workers= is only meaningful with collect_backend='distributed' "
-                f"(got collect_backend={self.collect_backend!r})"
-            )
-        from repro.fl.transport.codec import wire_codec_names
-
-        if self.wire_codec not in wire_codec_names():
-            raise ValueError(
-                f"wire_codec must be one of {wire_codec_names()}, "
-                f"got {self.wire_codec!r}"
-            )
-        if self.wire_codec != "raw" and self.collect_backend != "distributed":
-            raise ValueError(
-                "wire_codec= is only meaningful with collect_backend="
-                "'distributed' — the local fleets ship raw frames "
-                f"(got collect_backend={self.collect_backend!r})"
-            )
+        check_collect_options(
+            self.collect_backend, self.n_workers, self.workers, self.wire_codec
+        )
         from repro.fl.participation import PARTICIPATION_SCHEDULES
 
         if self.participation not in PARTICIPATION_SCHEDULES:

@@ -49,7 +49,6 @@ class RoundRecord:
     #: False when the round finished below ``min_cohort_fraction`` and the
     #: ``accept`` policy recorded it anyway.
     quorum_met: bool = True
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def num_reporting(self) -> int:
@@ -90,7 +89,6 @@ class RoundRecord:
             "num_reconnects": self.num_reconnects,
             "num_retries": self.num_retries,
             "quorum_met": self.quorum_met,
-            "extra": dict(self.extra),
         }
 
     @classmethod
@@ -98,8 +96,8 @@ class RoundRecord:
         """Reconstruct a record from :meth:`to_dict` output.
 
         Tolerates payloads from older records (missing keys get their
-        defaults) — checkpoint files must stay readable across versions
-        that only *add* fields.
+        defaults, retired keys such as ``"extra"`` are ignored) — checkpoint
+        files must stay readable across versions that add or retire fields.
         """
         record = cls(
             round_index=int(payload["round_index"]),
@@ -125,7 +123,6 @@ class RoundRecord:
                 setattr(record, key, payload[key])
         record.selected_clients = tuple(payload.get("selected_clients", ()))
         record.cohort_clients = tuple(payload.get("cohort_clients", ()))
-        record.extra = dict(payload.get("extra", {}))
         return record
 
 

@@ -152,6 +152,10 @@ class TestAggregatorFactory:
     def test_unknown_rule_rejected(self):
         with pytest.raises(KeyError):
             build_aggregator("blockchain")
+        # The unweighted mean is the FedAvg rule; no weighted variant exists.
+        assert isinstance(build_aggregator("fedavg"), MeanAggregator)
+        with pytest.raises(KeyError):
+            build_aggregator("weighted_mean")
 
     def test_params_forwarded(self):
         aggregator = build_aggregator("trimmed_mean", {"trim": 2})

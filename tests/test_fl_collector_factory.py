@@ -1,7 +1,9 @@
-"""The collector constructor: backend dispatch, config-driven construction.
+"""The collector constructor: backend dispatch and the collect rules.
 
-``make_collector`` is the one public path from a config (or keyword
-overrides) to a collect strategy, for every name in ``COLLECT_BACKENDS``.
+``make_collector`` is the one public path from collect options to a
+collect strategy, for every name in ``COLLECT_BACKENDS``.  It checks its
+options with the rules ``TrainingConfig.validate`` enforces, so a setting
+a backend would not use raises instead of being dropped.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ExperimentConfig, TrainingConfig
 from repro.fl import COLLECT_BACKENDS, SequentialCollector, make_collector
 from repro.fl.transport import DistributedCollector, LocalFleetCollector
 
@@ -25,9 +26,8 @@ class TestRegistry:
         }
         assert set(COLLECT_BACKENDS) == set(expected)
         for backend in COLLECT_BACKENDS:
-            collector = make_collector(
-                backend=backend, n_workers=2, workers=["127.0.0.1:1"]
-            )
+            workers = ["127.0.0.1:1"] if backend == "distributed" else None
+            collector = make_collector(backend=backend, n_workers=2, workers=workers)
             assert type(collector) is expected[backend]
             collector.close()
 
@@ -111,55 +111,35 @@ class TestMakeCollector:
         # backend "thread" at n_workers=1 is the sequential strategy.
         assert isinstance(make_collector(), SequentialCollector)
 
-    def test_from_training_config(self):
-        config = TrainingConfig(collect_backend="thread", n_workers=3)
-        collector = make_collector(config)
-        assert isinstance(collector, LocalFleetCollector)
-        assert (collector.kind, collector.n_workers) == ("thread", 3)
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize(
+        "option",
+        [{"workers": ["127.0.0.1:1"]}, {"wire_codec": "int8"}],
+        ids=["workers", "wire_codec"],
+    )
+    def test_local_backends_refuse_distributed_options(self, backend, option):
+        # The local backends would ignore these; refusing them is what
+        # TrainingConfig.validate does for the same combination.
+        with pytest.raises(ValueError, match="only meaningful"):
+            make_collector(backend=backend, n_workers=2, **option)
 
-    def test_from_experiment_config(self):
-        config = ExperimentConfig(
-            training=TrainingConfig(collect_backend="thread", n_workers=2)
+    def test_standing_local_fleet_serves_a_new_architecture(self):
+        from tests.test_fl_parallel_collect import (
+            BatchNormMLP,
+            make_clients,
+            make_model,
         )
-        collector = make_collector(config)
-        assert isinstance(collector, LocalFleetCollector)
-        assert (collector.kind, collector.n_workers) == ("thread", 2)
 
-    def test_config_wire_codec_flows_through(self):
-        config = TrainingConfig(
-            collect_backend="distributed",
-            workers=["127.0.0.1:1"],
-            wire_codec="int8",
-        )
-        collector = make_collector(config)
-        assert isinstance(collector, DistributedCollector)
-        assert collector.wire_codec == "int8"
-
-    def test_overrides_beat_the_config(self):
-        config = TrainingConfig(collect_backend="thread", n_workers=4)
-        assert isinstance(
-            make_collector(config, backend="sequential"), SequentialCollector
-        )
-        collector = make_collector(
-            config,
-            backend="distributed",
-            workers=["127.0.0.1:1"],
-            wire_codec="fp16",
-        )
-        assert collector.wire_codec == "fp16"
-
-    def test_none_is_a_meaningful_override(self):
-        # round_timeout=None means "wait forever" — the sentinel must not
-        # mistake it for "not overridden".
-        config = TrainingConfig(
-            collect_backend="distributed",
-            workers=["127.0.0.1:1"],
-            round_timeout=30.0,
-        )
-        collector = make_collector(config, round_timeout=None)
-        assert all(conn.round_timeout is None for conn in collector._conns)
-
-    def test_distributed_still_requires_workers(self):
-        config = TrainingConfig()
-        with pytest.raises(ValueError, match="requires workers"):
-            make_collector(config, backend="distributed")
+        collector = make_collector(backend="thread", n_workers=2)
+        try:
+            fleets = []
+            for model in (make_model(), BatchNormMLP()):
+                reference = np.empty((4, model.num_parameters()))
+                SequentialCollector().collect(make_clients(4), model, reference)
+                out = np.empty_like(reference)
+                collector.collect(make_clients(4), model, out)
+                assert np.array_equal(reference, out)
+                fleets.append(collector.fleet)
+            assert fleets[1] is fleets[0]
+        finally:
+            collector.close()

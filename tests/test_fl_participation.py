@@ -54,7 +54,6 @@ class TestRoundPlan:
             active=[1, 5],
             dropped=[3],
             stragglers=[7],
-            weights=[0.5, 0.5],
         )
         fields.update(overrides)
         return RoundPlan(**fields)
@@ -84,26 +83,13 @@ class TestRoundPlan:
         with pytest.raises(ValueError, match="partition"):
             self.make_plan(dropped=[2])  # 2 not in cohort
         with pytest.raises(ValueError, match="disjoint"):
-            self.make_plan(dropped=[3, 5], weights=[0.5, 0.5])
+            self.make_plan(dropped=[3, 5])
         with pytest.raises(ValueError, match="at least one active"):
-            self.make_plan(active=[], dropped=[1, 3, 5, 7], stragglers=[], weights=[])
+            self.make_plan(active=[], dropped=[1, 3, 5, 7], stragglers=[])
         with pytest.raises(ValueError, match="duplicate"):
             self.make_plan(cohort=[1, 1, 3, 5])
         with pytest.raises(ValueError, match="outside"):
             self.make_plan(cohort=[1, 3, 5, 77])
-
-    def test_weights_validated(self):
-        with pytest.raises(ValueError, match="weights"):
-            self.make_plan(weights=[1.0])
-        with pytest.raises(ValueError, match="sum to 1"):
-            self.make_plan(weights=[0.9, 0.9])
-
-    def test_weights_follow_active_sort(self):
-        # weights[k] belongs to active[k] as given; sorting must permute
-        # them together or client 1 would silently get client 5's weight.
-        plan = self.make_plan(active=[5, 1], weights=[0.7, 0.3])
-        np.testing.assert_array_equal(plan.active, [1, 5])
-        np.testing.assert_allclose(plan.weights, [0.3, 0.7])
 
 
 class TestSchedules:
@@ -415,12 +401,10 @@ class HintRecordingAggregator(Aggregator):
     def __init__(self):
         self.hints = []
         self.row_counts = []
-        self.weights = []
 
     def aggregate(self, gradients, context=None):
         self.hints.append(context.num_byzantine_hint)
         self.row_counts.append(len(gradients))
-        self.weights.append(context.extra.get("participation_weights"))
         return AggregationResult(
             gradient=gradients.mean(axis=0), selected_indices=all_indices(gradients)
         )
@@ -464,15 +448,16 @@ class TestSimulationParticipation:
         recorder = simulation.run(4)
         for context, record in zip(attack.contexts, recorder.rounds):
             assert context.num_clients == record.num_reporting == 5
-            assert context.population_size == 10
-            assert len(context.cohort_client_ids) == context.num_clients
+            # No dropouts or stragglers: the cohort is the matrix's rows.
+            cohort = np.asarray(record.cohort_clients)
+            assert len(cohort) == context.num_clients
             # Byzantine indices are positions within the cohort matrix...
             if context.num_byzantine:
                 assert context.byzantine_indices.max() < context.num_clients
             # ...and map back to sampled Byzantine client ids.
             np.testing.assert_array_equal(
-                context.cohort_client_ids[context.byzantine_indices],
-                [i for i in (0, 1, 2) if i in context.cohort_client_ids],
+                cohort[context.byzantine_indices],
+                [i for i in (0, 1, 2) if i in cohort],
             )
             assert record.byzantine_total == context.num_byzantine
 
@@ -501,8 +486,6 @@ class TestSimulationParticipation:
         simulation.run(2)
         assert aggregator.row_counts == [5, 5]
         assert aggregator.hints == [1, 1]  # round(2 * 5/10)
-        for weights, rows in zip(aggregator.weights, aggregator.row_counts):
-            np.testing.assert_allclose(weights, np.full(rows, 1 / rows))
 
     def test_all_byzantine_cohort_stays_finite_under_statistics_attacks(self, split):
         # A sampled cohort can be 100% Byzantine — statistics-based attacks
@@ -609,7 +592,6 @@ class TestSimulationParticipation:
                 active=active,
                 dropped=[],
                 stragglers=list(stragglers),
-                weights=np.full(len(active), 1.0 / len(active)),
             )
 
         # Straggler 5 is never sampled again, so the only thing that could
@@ -791,18 +773,15 @@ class TestDemoteToDropped:
             active=[0, 2, 4, 6],
             dropped=[8],
             stragglers=[],
-            weights=[0.25, 0.25, 0.25, 0.25],
         )
         fields.update(overrides)
         return RoundPlan(**fields)
 
-    def test_demotion_moves_and_renormalizes(self):
+    def test_demotion_moves(self):
         plan = self.make_plan().demote_to_dropped([2, 6])
         np.testing.assert_array_equal(plan.active, [0, 4])
         np.testing.assert_array_equal(plan.dropped, [2, 6, 8])
         np.testing.assert_array_equal(plan.cohort, [0, 2, 4, 6, 8])
-        np.testing.assert_allclose(plan.weights, [0.5, 0.5])
-        assert plan.weights.sum() == 1.0
 
     def test_empty_demotion_returns_the_same_plan(self):
         plan = self.make_plan()
@@ -817,9 +796,7 @@ class TestDemoteToDropped:
     def test_demoting_non_active_clients_raises(self):
         # Stragglers and already-dropped clients are not active rows; a
         # collector reporting them as failed is a bookkeeping bug.
-        plan = self.make_plan(
-            active=[0, 2, 4], stragglers=[6], weights=[0.3, 0.3, 0.4]
-        )
+        plan = self.make_plan(active=[0, 2, 4], stragglers=[6])
         with pytest.raises(ValueError, match="not active"):
             plan.demote_to_dropped([6])  # straggler
         with pytest.raises(ValueError, match="not active"):
@@ -827,18 +804,9 @@ class TestDemoteToDropped:
         with pytest.raises(ValueError, match="not active"):
             plan.demote_to_dropped([1])  # not even in the cohort
 
-    def test_zero_total_weight_renormalizes_uniformly(self):
-        # If the survivors jointly carried zero weight, renormalization
-        # cannot divide by the sum; they split the round evenly instead.
-        plan = self.make_plan(weights=[0.0, 0.0, 0.5, 0.5])
-        demoted = plan.demote_to_dropped([4, 6])
-        np.testing.assert_array_equal(demoted.active, [0, 2])
-        np.testing.assert_allclose(demoted.weights, [0.5, 0.5])
-
     def test_repeated_demotion_accumulates(self):
         # The distributed collector may demote in waves (a survivor dying
-        # during re-dispatch); each wave renormalizes the remainder.
+        # during re-dispatch); each wave shrinks the remainder.
         plan = self.make_plan().demote_to_dropped([0]).demote_to_dropped([6])
         np.testing.assert_array_equal(plan.active, [2, 4])
         np.testing.assert_array_equal(plan.dropped, [0, 6, 8])
-        np.testing.assert_allclose(plan.weights, [0.5, 0.5])

@@ -16,7 +16,6 @@ import numpy as np
 from repro.aggregators.base import ServerContext
 from repro.core.signguard import SignGuard
 from repro.fl.metrics import selection_confusion
-from repro.fl.participation import build_participation
 
 
 class TestServerContextDefaultRng:
@@ -48,14 +47,6 @@ class TestServerContextDefaultRng:
 
 
 class TestDtypePinnedAllocations:
-    def test_participation_weights_stay_float64(self):
-        schedule = build_participation(
-            "uniform", participation_fraction=0.5, rng=3
-        )
-        plan = schedule.plan(0, population_size=10)
-        assert plan.weights.dtype == np.float64
-        np.testing.assert_allclose(plan.weights.sum(), 1.0)
-
     def test_selection_confusion_accepts_plain_lists(self):
         confusion = selection_confusion(
             np.array([0, 1, 2]), np.array([2, 3]), num_clients=5

@@ -37,6 +37,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=-0.1).validate()
 
+    def test_rejects_momentum_one(self):
+        # SGD refuses momentum=1 (the velocity would never decay); the
+        # config must refuse it before a run is built, not after.
+        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+            TrainingConfig(momentum=1.0).validate()
+
     def test_fault_tolerance_defaults_valid(self):
         config = TrainingConfig()
         assert config.connect_timeout == pytest.approx(10.0)

@@ -86,7 +86,6 @@ class TestRecoverySerialization:
         record.num_retries = 2
         record.quorum_met = False
         record.selected_clients = (0, 2, 5)
-        record.extra = {"note": "degraded"}
         return record
 
     def test_recovery_fields_survive_to_dict(self):
@@ -109,6 +108,15 @@ class TestRecoverySerialization:
         assert restored.num_reconnects == 0
         assert restored.num_retries == 0
         assert restored.quorum_met is True
+
+    def test_from_dict_ignores_the_retired_extra_key(self):
+        # Records written before RoundRecord.extra was retired carry an
+        # "extra" key; their checkpoints must still load.
+        original = self.make_recovery_record()
+        payload = original.to_dict()
+        assert "extra" not in payload
+        payload["extra"] = {"note": "degraded"}
+        assert RoundRecord.from_dict(payload) == original
 
     def test_recorder_recovery_totals(self):
         recorder = RunRecorder()
