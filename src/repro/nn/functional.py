@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def floating_dtype(dtype) -> np.dtype:
@@ -62,10 +63,27 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def window_grid(
+    height: int, width: int, kernel: int, stride: int, padding: int
+) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a window sweep; raises if a side holds no window."""
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    if out_h < 1 or out_w < 1:
+        raise ValueError(
+            f"a {kernel}x{kernel} window with stride {stride} and padding "
+            f"{padding} does not fit a {height}x{width} input"
+        )
+    return out_h, out_w
+
+
 def im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
     """Unfold image patches into columns for convolution as matrix multiply.
+
+    One strided window view of the zero-padded input is copied once into
+    the column matrix.
 
     Args:
         x: input of shape ``(batch, channels, height, width)``.
@@ -78,23 +96,15 @@ def im2col(
         ``(batch * out_h * out_w, channels * kernel * kernel)``.
     """
     batch, channels, height, width = x.shape
-    out_h = conv_output_size(height, kernel, stride, padding)
-    out_w = conv_output_size(width, kernel, stride, padding)
-    padded = np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+    out_h, out_w = window_grid(height, width, kernel, stride, padding)
+    padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding),
+        dtype=floating_dtype(x.dtype),
     )
-    columns = np.empty(
-        (batch, channels, kernel, kernel, out_h, out_w), dtype=floating_dtype(x.dtype)
-    )
-    for ky in range(kernel):
-        y_end = ky + stride * out_h
-        for kx in range(kernel):
-            x_end = kx + stride * out_w
-            columns[:, :, ky, kx, :, :] = padded[:, :, ky:y_end:stride, kx:x_end:stride]
-    columns = columns.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch * out_h * out_w, channels * kernel * kernel
-    )
-    return columns, out_h, out_w
+    padded[:, :, padding : padding + height, padding : padding + width] = x
+    windows = sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+    columns = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    return columns.reshape(batch * out_h * out_w, channels * kernel**2), out_h, out_w
 
 
 def col2im(
@@ -104,24 +114,23 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Fold column gradients back into an image-shaped gradient (inverse of im2col)."""
+    """Fold column gradients back into an image-shaped gradient (inverse of im2col).
+
+    The fold runs channels-last, so each strided add reads ``columns``
+    without a transpose; every pixel still sums its terms in the seed's
+    ``(ky, kx)`` order.  Returns a C-contiguous NCHW array.
+    """
     batch, channels, height, width = input_shape
-    out_h = conv_output_size(height, kernel, stride, padding)
-    out_w = conv_output_size(width, kernel, stride, padding)
-    columns = columns.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
-        0, 3, 4, 5, 1, 2
-    )
+    out_h, out_w = window_grid(height, width, kernel, stride, padding)
+    columns = columns.reshape(batch, out_h, out_w, channels, kernel, kernel)
     padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding),
+        (batch, height + 2 * padding, width + 2 * padding, channels),
         dtype=floating_dtype(columns.dtype),
     )
     for ky in range(kernel):
         y_end = ky + stride * out_h
         for kx in range(kernel):
             x_end = kx + stride * out_w
-            padded[:, :, ky:y_end:stride, kx:x_end:stride] += columns[
-                :, :, ky, kx, :, :
-            ]
-    if padding == 0:
-        return padded
-    return padded[:, :, padding:-padding, padding:-padding]
+            padded[:, ky:y_end:stride, kx:x_end:stride] += columns[..., ky, kx]
+    interior = padded[:, padding : padding + height, padding : padding + width]
+    return np.ascontiguousarray(interior.transpose(0, 3, 1, 2))

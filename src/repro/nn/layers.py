@@ -3,7 +3,10 @@
 Every layer follows the ``forward`` / ``backward`` contract of
 :class:`repro.nn.module.Module`.  Convolution is implemented with im2col so
 the heavy lifting stays inside a single matrix multiply, which is fast enough
-in numpy for the model sizes used by the reproduction.
+in numpy for the model sizes used by the reproduction.  im2col, col2im and
+max pooling read their windows through strided views instead of copying
+each window out, and keep the seed kernels' arithmetic, so their outputs
+are byte-identical to the copies frozen in :mod:`repro.perf.reference`.
 
 Layers that own parameters accept a ``dtype`` argument (float64 by default)
 and allocate their weights, biases, and normalization statistics in that
@@ -18,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.nn import init
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import col2im, im2col, window_grid
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RngLike, as_rng
 
@@ -146,7 +149,6 @@ class Conv2d(Module):
         )
         self._columns: np.ndarray = np.empty(0)
         self._input_shape: tuple = ()
-        self._out_hw: tuple = ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -157,19 +159,18 @@ class Conv2d(Module):
         self._input_shape = x.shape
         columns, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
         self._columns = columns
-        self._out_hw = (out_h, out_w)
         flat_weight = self.weight.data.reshape(self.out_channels, -1)
         output = columns @ flat_weight.T
         if self.bias is not None:
             output = output + self.bias.data
         batch = x.shape[0]
+        # Channels-last storage behind an NCHW view: numpy reduces in memory
+        # order, so a contiguous copy would move BatchNorm2d's bytes.
         return output.reshape(batch, out_h, out_w, self.out_channels).transpose(
             0, 3, 1, 2
         )
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        batch = self._input_shape[0]
-        out_h, out_w = self._out_hw
         grad = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         flat_weight = self.weight.data.reshape(self.out_channels, -1)
         self.weight.grad += (grad.T @ self._columns).reshape(self.weight.data.shape)
@@ -182,51 +183,53 @@ class Conv2d(Module):
 
 
 class MaxPool2d(Module):
-    """Max pooling with a square window (stride defaults to the window size)."""
+    """Max pooling with a square window (stride defaults to the window size).
+
+    Both passes walk one strided view per window offset.  The argmax moves
+    only on a strict ``>``: a tie goes to the first maximum, as with
+    ``np.argmax``, and a NaN makes the window's output NaN but leaves its
+    gradient on the first maximum before the NaN (on the NaN itself only
+    when it is the window's first element).
+    """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be >= 1")
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
+        if kernel_size < 1 or self.stride < 1:
+            raise ValueError("kernel_size and stride must be >= 1")
         self._input_shape: tuple = ()
         self._argmax: np.ndarray = np.empty(0)
-        self._out_hw: tuple = ()
+
+    def _windows(self, image: np.ndarray, out_h: int, out_w: int) -> List[np.ndarray]:
+        """The view of every window's ``(ky, kx)`` element, row-major."""
+        k, s = self.kernel_size, self.stride
+        return [
+            image[:, :, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
+            for ky in range(k)
+            for kx in range(k)
+        ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
+        height, width = x.shape[2:]
         self._input_shape = x.shape
-        out_h = conv_output_size(height, self.kernel_size, self.stride, 0)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, 0)
-        self._out_hw = (out_h, out_w)
-        # Build (batch, channels, out_h, out_w, k*k) windows then take the max.
-        windows = np.empty(
-            (batch, channels, out_h, out_w, self.kernel_size * self.kernel_size),
-            dtype=x.dtype,
-        )
-        for ky in range(self.kernel_size):
-            for kx in range(self.kernel_size):
-                windows[..., ky * self.kernel_size + kx] = x[
-                    :,
-                    :,
-                    ky : ky + self.stride * out_h : self.stride,
-                    kx : kx + self.stride * out_w : self.stride,
-                ]
-        self._argmax = np.argmax(windows, axis=-1)
-        return np.max(windows, axis=-1)
+        out_h, out_w = window_grid(height, width, self.kernel_size, self.stride, 0)
+        views = self._windows(x, out_h, out_w)
+        output = views[0].copy()
+        argmax = np.zeros(output.shape, dtype=np.intp)
+        for j, view in enumerate(views[1:], start=1):
+            argmax = np.where(view > output, j, argmax)
+            np.maximum(output, view, out=output)
+        self._argmax = argmax
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = self._input_shape
-        out_h, out_w = self._out_hw
         grad_input = np.zeros(self._input_shape, dtype=grad_output.dtype)
-        ky = self._argmax // self.kernel_size
-        kx = self._argmax % self.kernel_size
-        rows = (np.arange(out_h)[None, None, :, None] * self.stride) + ky
-        cols = (np.arange(out_w)[None, None, None, :] * self.stride) + kx
-        b_index = np.arange(batch)[:, None, None, None]
-        c_index = np.arange(channels)[None, :, None, None]
-        np.add.at(grad_input, (b_index, c_index, rows, cols), grad_output)
+        views = self._windows(grad_input, *self._argmax.shape[2:])
+        # Last offset first, so a pixel shared by overlapping windows sums
+        # their gradients in row-major window order, as np.add.at did.
+        for j in reversed(range(len(views))):
+            views[j] += np.where(self._argmax == j, grad_output, 0.0)
         return grad_input
 
 

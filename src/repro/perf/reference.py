@@ -17,10 +17,11 @@ that it stays frozen at seed behavior.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.functional import conv_output_size, floating_dtype
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.validation import check_fraction, check_gradient_matrix
 
@@ -336,3 +337,107 @@ def signguard_pipeline_reference(
         trusted = trusted * scales[:, None]
     aggregated = trusted.mean(axis=0)
     return {"gradient": aggregated, "selected_indices": selected}
+
+
+# ---------------------------------------------------------------------------
+# CNN window kernels (seed: np.pad + per-offset copies, a copied windows
+# array per max-pool, np.add.at back through the argmax)
+# ---------------------------------------------------------------------------
+
+
+def im2col_reference(
+    x: np.ndarray, kernel: int, stride: int, padding: int
+) -> Tuple[np.ndarray, int, int]:
+    """Seed im2col: pad, copy each kernel offset, then a transposed copy."""
+    batch, channels, height, width = x.shape
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    padded = np.pad(
+        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+    )
+    columns = np.empty(
+        (batch, channels, kernel, kernel, out_h, out_w), dtype=floating_dtype(x.dtype)
+    )
+    for ky in range(kernel):
+        y_end = ky + stride * out_h
+        for kx in range(kernel):
+            x_end = kx + stride * out_w
+            columns[:, :, ky, kx, :, :] = padded[:, :, ky:y_end:stride, kx:x_end:stride]
+    columns = columns.transpose(0, 4, 5, 1, 2, 3).reshape(
+        batch * out_h * out_w, channels * kernel * kernel
+    )
+    return columns, out_h, out_w
+
+
+def col2im_reference(
+    columns: np.ndarray,
+    input_shape: Tuple[int, int, int, int],
+    kernel: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Seed col2im: channels-first fold through a transposed columns view."""
+    batch, channels, height, width = input_shape
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    columns = columns.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
+        0, 3, 4, 5, 1, 2
+    )
+    padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding),
+        dtype=floating_dtype(columns.dtype),
+    )
+    for ky in range(kernel):
+        y_end = ky + stride * out_h
+        for kx in range(kernel):
+            x_end = kx + stride * out_w
+            padded[:, :, ky:y_end:stride, kx:x_end:stride] += columns[
+                :, :, ky, kx, :, :
+            ]
+    if padding == 0:
+        return padded
+    return padded[:, :, padding:-padding, padding:-padding]
+
+
+def maxpool2d_forward_reference(pool: Any, x: np.ndarray) -> np.ndarray:
+    """Seed ``MaxPool2d.forward``, with the layer as ``pool``.
+
+    It and :func:`maxpool2d_backward_reference` can stand in for the
+    layer's methods together; they share the ``_argmax`` and ``_out_hw``
+    caches.
+    """
+    batch, channels, height, width = x.shape
+    pool._input_shape = x.shape
+    out_h = conv_output_size(height, pool.kernel_size, pool.stride, 0)
+    out_w = conv_output_size(width, pool.kernel_size, pool.stride, 0)
+    pool._out_hw = (out_h, out_w)
+    # Build (batch, channels, out_h, out_w, k*k) windows then take the max.
+    windows = np.empty(
+        (batch, channels, out_h, out_w, pool.kernel_size * pool.kernel_size),
+        dtype=x.dtype,
+    )
+    for ky in range(pool.kernel_size):
+        for kx in range(pool.kernel_size):
+            windows[..., ky * pool.kernel_size + kx] = x[
+                :,
+                :,
+                ky : ky + pool.stride * out_h : pool.stride,
+                kx : kx + pool.stride * out_w : pool.stride,
+            ]
+    pool._argmax = np.argmax(windows, axis=-1)
+    return np.max(windows, axis=-1)
+
+
+def maxpool2d_backward_reference(pool: Any, grad_output: np.ndarray) -> np.ndarray:
+    """Seed ``MaxPool2d.backward``: ``np.add.at`` through the argmax."""
+    batch, channels, height, width = pool._input_shape
+    out_h, out_w = pool._out_hw
+    grad_input = np.zeros(pool._input_shape, dtype=grad_output.dtype)
+    ky = pool._argmax // pool.kernel_size
+    kx = pool._argmax % pool.kernel_size
+    rows = (np.arange(out_h)[None, None, :, None] * pool.stride) + ky
+    cols = (np.arange(out_w)[None, None, None, :] * pool.stride) + kx
+    b_index = np.arange(batch)[:, None, None, None]
+    c_index = np.arange(channels)[None, :, None, None]
+    np.add.at(grad_input, (b_index, c_index, rows, cols), grad_output)
+    return grad_input

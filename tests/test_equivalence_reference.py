@@ -6,7 +6,9 @@ same decisions as the pre-refactor implementations (kept frozen in
 :mod:`repro.perf.reference`).  Selections are compared exactly; aggregated
 gradients within tight float tolerance (summation orders may legally differ
 by ulps).  A float32 section checks the reduced-precision mode stays within
-float32 tolerance of the float64 reference.
+float32 tolerance of the float64 reference.  The CNN window kernels
+(im2col, col2im, max-pool) keep the seed's arithmetic, so their section
+compares bytes, kernel by kernel and through whole CNN models.
 """
 
 import numpy as np
@@ -18,6 +20,11 @@ from repro.aggregators.dnc import DivideAndConquerAggregator
 from repro.aggregators.krum import KrumAggregator, MultiKrumAggregator, krum_scores
 from repro.clustering import MeanShift
 from repro.core.pipeline import SignGuardPipeline
+from repro.nn import layers
+from repro.nn.functional import col2im, im2col
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import ResNetLite, SimpleCNN
+from repro.nn.vectorize import get_flat_gradients
 from repro.perf import reference as ref
 from repro.utils.batch import GradientBatch
 
@@ -230,3 +237,148 @@ class TestFloat32Mode:
         result32 = KrumAggregator(num_byzantine=6)(population.astype(np.float32))
         seed_scores = ref.krum_scores_reference(population, 6)
         assert result32.selected_indices[0] == int(np.argmin(seed_scores))
+
+
+# ---------------------------------------------------------------------------
+# CNN window kernels: byte equality with the seed kernels
+# ---------------------------------------------------------------------------
+
+DTYPES = pytest.mark.parametrize(
+    "dtype", [np.float32, np.float64], ids=["float32", "float64"]
+)
+#: Odd sides and a non-square image, so strided sweeps drop a remainder.
+IMAGE_SHAPES = [(2, 3, 7, 9), (3, 2, 8, 5)]
+
+
+@DTYPES
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_im2col_col2im_match_seed_bytes(kernel, stride, padding, dtype):
+    rng = np.random.default_rng(100 * kernel + 10 * stride + padding)
+    for shape in IMAGE_SHAPES:
+        x = rng.normal(size=shape).astype(dtype)
+        columns, out_h, out_w = im2col(x, kernel, stride, padding)
+        seed_columns, seed_h, seed_w = ref.im2col_reference(x, kernel, stride, padding)
+        assert (out_h, out_w) == (seed_h, seed_w)
+        assert columns.dtype == seed_columns.dtype == dtype
+        assert columns.tobytes() == seed_columns.tobytes()
+
+        grad = rng.normal(size=columns.shape).astype(dtype)
+        folded = col2im(grad, shape, kernel, stride, padding)
+        seed = ref.col2im_reference(grad, shape, kernel, stride, padding)
+        assert folded.shape == seed.shape and folded.dtype == seed.dtype
+        assert folded.flags.c_contiguous
+        assert folded.tobytes() == seed.tobytes()
+
+
+def _pool_inputs(rng, shape):
+    """Distinct values, ties among small integers, and ReLU-like output whose
+    all-zero windows tie on +0.0 (ReLU never emits -0.0)."""
+    x = rng.normal(size=shape)
+    return {
+        "normal": x,
+        "ties": np.round(x) + 0.0,  # + 0.0 turns round's -0.0 into +0.0
+        "relu": np.where(x > 0, x, 0.0),
+    }
+
+
+@DTYPES
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_maxpool_matches_seed_bytes(kernel, stride, dtype):
+    """Overlapping (stride < kernel), disjoint and gapped windows."""
+    rng = np.random.default_rng(10 * kernel + stride)
+    for shape in IMAGE_SHAPES:
+        for name, x in _pool_inputs(rng, shape).items():
+            x = x.astype(dtype)
+            pool = layers.MaxPool2d(kernel, stride=stride)
+            output = pool.forward(x)
+            grad_output = rng.normal(size=output.shape).astype(dtype)
+            grad_output[rng.random(output.shape) < 0.25] = -0.0
+            grad_input = pool.backward(grad_output)
+
+            seed_pool = layers.MaxPool2d(kernel, stride=stride)
+            seed_output = ref.maxpool2d_forward_reference(seed_pool, x)
+            seed_grad = ref.maxpool2d_backward_reference(seed_pool, grad_output)
+            assert output.flags.c_contiguous, name
+            assert output.tobytes() == seed_output.tobytes(), name
+            np.testing.assert_array_equal(
+                pool._argmax, seed_pool._argmax, err_msg=name
+            )
+            assert grad_input.dtype == seed_grad.dtype
+            assert grad_input.tobytes() == seed_grad.tobytes(), name
+
+
+@pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1)])
+def test_maxpool_nan_in_window_makes_output_nan(kernel, stride):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 3, 7, 9))
+    x[1, 2, 3, 4] = np.nan
+    pool = layers.MaxPool2d(kernel, stride=stride)
+    output = pool.forward(x)
+    seed = ref.maxpool2d_forward_reference(layers.MaxPool2d(kernel, stride=stride), x)
+    assert np.isnan(output).any()
+    np.testing.assert_array_equal(np.isnan(output), np.isnan(seed))
+    finite = ~np.isnan(seed)
+    assert output[finite].tobytes() == seed[finite].tobytes()
+
+    # A NaN window's gradient lands on its first maximum before the NaN, or
+    # on the NaN when it is the window's first element.  The seed's
+    # np.argmax sent it to the NaN: this pins the documented divergence.
+    grad_input = pool.backward(np.where(np.isnan(output), 1.0, 0.0))
+    expected = np.zeros_like(x)
+    for oy, ox in zip(*np.nonzero(np.isnan(output[1, 2]))):
+        top, left = oy * stride, ox * stride
+        window = x[1, 2, top : top + kernel, left : left + kernel].ravel()
+        before = window[: int(np.argmax(np.isnan(window)))]
+        j = int(np.argmax(before)) if before.size else 0
+        expected[1, 2, top + j // kernel, left + j % kernel] += 1.0
+    assert grad_input.tobytes() == expected.tobytes()
+
+
+def test_conv2d_output_keeps_channels_last_storage(rng):
+    # The gemm's (batch, h, w, channels) result behind an NCHW view: numpy
+    # reduces in memory order, so a contiguous copy would move the bytes of
+    # BatchNorm2d's statistics (resnet_lite) although each value is equal.
+    conv = layers.Conv2d(3, 4, 3, padding=1, rng=rng)
+    output = conv(rng.normal(size=(2, 3, 5, 5)))
+    assert not output.flags.c_contiguous
+    assert output.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _cnn_step(model_name, dtype):
+    """Loss, flat gradient and eval-mode logits of one 32-sample batch."""
+    rng = np.random.default_rng(21)
+    if model_name == "simple_cnn":
+        model = SimpleCNN(in_channels=1, image_size=(14, 14), rng=3)
+        x = rng.normal(size=(32, 1, 14, 14))
+    else:
+        model = ResNetLite(in_channels=3, image_size=(16, 16), rng=3)
+        x = rng.normal(size=(32, 3, 16, 16))
+    model.astype(dtype)
+    x = x.astype(dtype)
+    labels = rng.integers(0, 10, size=32)
+    loss_fn = CrossEntropyLoss()
+    model.train()
+    model.zero_grad()
+    loss = loss_fn(model(x), labels)
+    model.backward(loss_fn.backward())
+    gradient = get_flat_gradients(model)
+    model.eval()
+    return np.asarray(loss), gradient, model(x)
+
+
+@DTYPES
+@pytest.mark.parametrize("model_name", ["simple_cnn", "resnet_lite"])
+def test_cnn_models_match_seed_kernels_bytes(model_name, dtype, monkeypatch):
+    loss, gradient, logits = _cnn_step(model_name, dtype)
+    monkeypatch.setattr(layers, "im2col", ref.im2col_reference)
+    monkeypatch.setattr(layers, "col2im", ref.col2im_reference)
+    monkeypatch.setattr(layers.MaxPool2d, "forward", ref.maxpool2d_forward_reference)
+    monkeypatch.setattr(layers.MaxPool2d, "backward", ref.maxpool2d_backward_reference)
+    seed_loss, seed_gradient, seed_logits = _cnn_step(model_name, dtype)
+    assert gradient.dtype == seed_gradient.dtype == dtype
+    assert loss.tobytes() == seed_loss.tobytes()
+    assert gradient.tobytes() == seed_gradient.tobytes()
+    assert logits.tobytes() == seed_logits.tobytes()

@@ -102,6 +102,21 @@ class TestConv2d:
         with pytest.raises(ValueError):
             Conv2d(3, 4, 3, rng=rng)(rng.normal(size=(1, 2, 5, 5)))
 
+    @pytest.mark.parametrize(
+        "kernel,stride,padding",
+        [(6, 1, 0), (7, 1, 0), (8, 1, 1), (9, 2, 1), (6, 3, 0)],
+    )
+    def test_rejects_window_larger_than_padded_input(
+        self, rng, kernel, stride, padding
+    ):
+        layer = Conv2d(1, 2, kernel, stride=stride, padding=padding, rng=rng)
+        message = (
+            f"a {kernel}x{kernel} window with stride {stride} and padding "
+            f"{padding} does not fit a 5x5 input"
+        )
+        with pytest.raises(ValueError, match=message):
+            layer(rng.normal(size=(2, 1, 5, 5)))
+
 
 class TestPooling:
     def test_maxpool_forward(self):
@@ -112,6 +127,29 @@ class TestPooling:
     def test_maxpool_input_gradient(self, rng, gradcheck):
         layer = MaxPool2d(2)
         check_input_gradient(layer, rng.normal(size=(2, 2, 4, 4)), gradcheck)
+
+    def test_overlapping_maxpool_input_gradient(self, rng, gradcheck):
+        # stride < kernel: a pixel can be the maximum of several windows and
+        # then collects every one of their gradients.
+        layer = MaxPool2d(3, stride=1)
+        check_input_gradient(layer, rng.normal(size=(2, 2, 5, 5)), gradcheck)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_maxpool_rejects_stride_below_one(self, stride):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            MaxPool2d(2, stride=stride)
+
+    @pytest.mark.parametrize(
+        "kernel,stride,size", [(7, None, 5), (6, 1, 5), (3, 1, 2), (3, 2, 2)]
+    )
+    def test_maxpool_rejects_window_larger_than_input(self, kernel, stride, size):
+        layer = MaxPool2d(kernel, stride=stride)
+        message = (
+            f"a {kernel}x{kernel} window with stride {layer.stride} and padding "
+            f"0 does not fit a {size}x{size} input"
+        )
+        with pytest.raises(ValueError, match=message):
+            layer(np.ones((2, 1, size, size)))
 
     def test_global_avgpool(self, rng, gradcheck):
         layer = GlobalAvgPool2d()
