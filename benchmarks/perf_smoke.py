@@ -173,9 +173,11 @@ def check_cache_discipline(gradients: np.ndarray) -> None:
     This is the "no silent fallback to naive" guard: if a future change stops
     consuming the shared GradientBatch, a quantity's compute count goes to 0
     (bypassed entirely — recomputed outside the cache) or above 1 and this
-    check fails the smoke run.
+    check fails the smoke run.  The batch skips validation: a validated batch
+    computes its norms for the finite verdict, so a norms count of 1 would
+    not show a consumer that bypassed them.
     """
-    batch = GradientBatch(gradients)
+    batch = GradientBatch(gradients, validate=False)
     pipeline = SignGuardPipeline(similarity="euclidean")
     pipeline.aggregate(batch, rng=np.random.default_rng(0))
     context = ServerContext.make(rng=0, num_byzantine_hint=len(gradients) // 5)

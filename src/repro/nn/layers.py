@@ -7,6 +7,7 @@ in numpy for the model sizes used by the reproduction.  im2col, col2im and
 max pooling read their windows through strided views instead of copying
 each window out, and keep the seed kernels' arithmetic, so their outputs
 are byte-identical to the copies frozen in :mod:`repro.perf.reference`.
+Max pooling keeps ``np.where`` off its masks (see :mod:`repro.nn.activations`).
 
 Layers that own parameters accept a ``dtype`` argument (float64 by default)
 and allocate their weights, biases, and normalization statistics in that
@@ -38,6 +39,8 @@ class Identity(Module):
 
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``."""
+
+    input_gradient = True  # False on a model's input layer: backward returns None
 
     def __init__(
         self,
@@ -77,15 +80,16 @@ class Linear(Module):
             output = output + self.bias.data
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         # Support inputs with extra leading dims by flattening them.
         x = self._input.reshape(-1, self.in_features)
         grad = grad_output.reshape(-1, self.out_features)
         self.weight.grad += grad.T @ x
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=0)
-        grad_input = grad @ self.weight.data
-        return grad_input.reshape(self._input.shape)
+        if self.input_gradient:
+            return (grad @ self.weight.data).reshape(self._input.shape)
+        return None
 
     # ``forward`` already broadcasts over a leading group axis: ``x @ W.T``
     # on ``(G, B, in)`` runs one gemm per group, byte-identical to G
@@ -98,21 +102,23 @@ class Linear(Module):
         return self.forward(x)
 
     def backward_grouped(self, grad_output, grads):
-        # Per group: ``grad.T @ x``, ``grad.sum(axis=0)`` and ``grad @ W``,
-        # the expressions of ``backward``.  The gemm accumulates from +0.0,
-        # so writing it straight into ``grads`` equals adding it into a
-        # zeroed ``weight.grad``.  The bias is added into zeros as in
-        # ``backward``, so a -0.0 sum reads +0.0 on either path.
+        # Per group: ``grad.T @ x``, ``grad.sum(axis=0)`` and (but on a model's
+        # input layer) ``grad @ W``, the expressions of ``backward``.  The gemm
+        # accumulates from +0.0, so writing it straight into ``grads`` equals
+        # adding it into a zeroed ``weight.grad``.  The bias is added into
+        # zeros as in ``backward``, so a -0.0 sum reads +0.0 on either path.
         np.matmul(grad_output.transpose(0, 2, 1), self._input, out=grads[self.weight])
         if self.bias is not None:
             bias_grad = grads[self.bias]
             bias_grad.fill(0.0)
             bias_grad += grad_output.sum(axis=1)
-        return grad_output @ self.weight.data
+        return grad_output @ self.weight.data if self.input_gradient else None
 
 
 class Conv2d(Module):
     """2-D convolution with square kernels, implemented via im2col."""
+
+    input_gradient = True  # False on a model's input layer: backward returns None
 
     def __init__(
         self,
@@ -170,13 +176,14 @@ class Conv2d(Module):
             0, 3, 1, 2
         )
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         grad = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        flat_weight = self.weight.data.reshape(self.out_channels, -1)
         self.weight.grad += (grad.T @ self._columns).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=0)
-        grad_columns = grad @ flat_weight
+        if not self.input_gradient:
+            return None
+        grad_columns = grad @ self.weight.data.reshape(self.out_channels, -1)
         return col2im(
             grad_columns, self._input_shape, self.kernel_size, self.stride, self.padding
         )
@@ -189,7 +196,8 @@ class MaxPool2d(Module):
     only on a strict ``>``: a tie goes to the first maximum, as with
     ``np.argmax``, and a NaN makes the window's output NaN but leaves its
     gradient on the first maximum before the NaN (on the NaN itself only
-    when it is the window's first element).
+    when it is the window's first element).  The input gradient keeps the
+    input's memory order, so ReLU and ``Conv2d`` below stay channels-last.
     """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
@@ -199,6 +207,7 @@ class MaxPool2d(Module):
         if kernel_size < 1 or self.stride < 1:
             raise ValueError("kernel_size and stride must be >= 1")
         self._input_shape: tuple = ()
+        self._order: tuple = ()  # the input's axes, outermost in memory first
         self._argmax: np.ndarray = np.empty(0)
 
     def _windows(self, image: np.ndarray, out_h: int, out_w: int) -> List[np.ndarray]:
@@ -211,25 +220,35 @@ class MaxPool2d(Module):
         ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 4:
+            raise ValueError(f"expected (batch, channels, H, W) input, got {x.shape}")
         height, width = x.shape[2:]
         self._input_shape = x.shape
+        self._order = (0, 2, 3, 1) if x.strides[1] < x.strides[3] else (0, 1, 2, 3)
         out_h, out_w = window_grid(height, width, self.kernel_size, self.stride, 0)
         views = self._windows(x, out_h, out_w)
         output = views[0].copy()
         argmax = np.zeros(output.shape, dtype=np.intp)
         for j, view in enumerate(views[1:], start=1):
-            argmax = np.where(view > output, j, argmax)
+            # Each argmax is below j, so this is np.where(view > output, j, argmax).
+            np.maximum(argmax, (view > output) * j, out=argmax)
             np.maximum(output, view, out=output)
         self._argmax = argmax
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_input = np.zeros(self._input_shape, dtype=grad_output.dtype)
+        axes = self._order
+        shape = [self._input_shape[axis] for axis in axes]
+        grad_input = np.zeros(shape, grad_output.dtype).transpose(np.argsort(axes))
         views = self._windows(grad_input, *self._argmax.shape[2:])
+        # A sum from +0.0 never reads -0.0, so a finite gradient * mask adds
+        # np.add.at's bytes; NaN or inf * False is NaN, so those keep np.where.
+        finite = np.isfinite(grad_output).all()
         # Last offset first, so a pixel shared by overlapping windows sums
         # their gradients in row-major window order, as np.add.at did.
         for j in reversed(range(len(views))):
-            views[j] += np.where(self._argmax == j, grad_output, 0.0)
+            hit = self._argmax == j
+            views[j] += grad_output * hit if finite else np.where(hit, grad_output, 0)
         return grad_input
 
 
@@ -484,9 +503,11 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
+        """Back-propagate in reverse; None from an input layer skips the rest."""
         for layer in reversed(self.layers):
-            grad_output = layer.backward(grad_output)
+            if grad_output is not None:
+                grad_output = layer.backward(grad_output)
         return grad_output
 
     def supports_grouped(self) -> bool:
@@ -499,7 +520,8 @@ class Sequential(Module):
 
     def backward_grouped(self, grad_output, grads):
         for layer in reversed(self.layers):
-            grad_output = layer.backward_grouped(grad_output, grads)
+            if grad_output is not None:
+                grad_output = layer.backward_grouped(grad_output, grads)
         return grad_output
 
 

@@ -20,13 +20,14 @@ class LogisticRegression(Module):
         super().__init__()
         rng = as_rng(rng)
         self.network = Sequential(Flatten(), Linear(input_dim, num_classes, rng=rng))
+        self.network[1].input_gradient = False  # the Linear, after Flatten
         self.input_dim = input_dim
         self.num_classes = num_classes
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.network(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         return self.network.backward(grad_output)
 
     def supports_grouped(self) -> bool:

@@ -39,6 +39,7 @@ class MLP(Module):
             layers.append(ReLU())
             previous = hidden
         layers.append(Linear(previous, num_classes, rng=rng))
+        layers[1].input_gradient = False  # the first Linear, after Flatten
         self.network = Sequential(*layers)
         self.input_dim = input_dim
         self.num_classes = num_classes
@@ -46,7 +47,7 @@ class MLP(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.network(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         return self.network.backward(grad_output)
 
     def supports_grouped(self) -> bool:

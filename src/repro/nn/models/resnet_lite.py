@@ -68,6 +68,7 @@ class ResNetLite(Module):
             BatchNorm2d(base_channels),
             ReLU(),
         )
+        self.stem[0].input_gradient = False
         self.stage1 = _basic_block(base_channels, base_channels, stride=1, rng=rng)
         self.relu1 = ReLU()
         self.stage2 = _basic_block(base_channels, 2 * base_channels, stride=2, rng=rng)
@@ -85,7 +86,7 @@ class ResNetLite(Module):
         out = self.pool(out)
         return self.head(out)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         grad = self.head.backward(grad_output)
         grad = self.pool.backward(grad)
         grad = self.stage2.backward(self.relu2.backward(grad))

@@ -66,6 +66,7 @@ class SimpleCNN(Module):
             Conv2d(c2, c3, 3, padding=1, rng=rng),
             ReLU(),
         )
+        self.features[0].input_gradient = False
         self.classifier = Sequential(
             Flatten(),
             Linear(flattened, hidden_dim, rng=rng),
@@ -79,6 +80,6 @@ class SimpleCNN(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.classifier(self.features(x))
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         grad = self.classifier.backward(grad_output)
         return self.features.backward(grad)

@@ -8,7 +8,7 @@ easy to verify with finite-difference tests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -236,8 +236,8 @@ class Module:
         """Compute the layer output for input ``x``."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate ``grad_output`` and return the input gradient."""
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
+        """Back-propagate ``grad_output``; return the input gradient (or None)."""
         raise NotImplementedError
 
     # -- grouped computation ----------------------------------------------------

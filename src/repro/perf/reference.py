@@ -341,8 +341,18 @@ def signguard_pipeline_reference(
 
 # ---------------------------------------------------------------------------
 # CNN window kernels (seed: np.pad + per-offset copies, a copied windows
-# array per max-pool, np.add.at back through the argmax)
+# array per max-pool, np.add.at back through the argmax) and ReLU (seed:
+# np.where on the mask)
 # ---------------------------------------------------------------------------
+
+
+def relu_forward_reference(relu: Any, x: np.ndarray) -> np.ndarray:
+    """Seed ``ReLU.forward``, with the layer as ``relu``.
+
+    It caches the same ``_mask``, so the layer's ``backward`` follows it.
+    """
+    relu._mask = x > 0
+    return np.where(relu._mask, x, 0.0)
 
 
 def im2col_reference(

@@ -9,10 +9,10 @@ scratch, so a single SignGuard round validated the matrix up to six times and
 ran three separate full norm passes.
 
 :class:`GradientBatch` wraps the validated matrix once and memoizes every
-derived quantity lazily.  It is threaded through
-:class:`repro.aggregators.base.ServerContext` so the whole round shares one
-cache; all public entry points still accept a raw ``np.ndarray`` and wrap it
-on the fly (:meth:`GradientBatch.wrap` is idempotent).
+derived quantity, lazily but for the row norms validation reads.  It is
+threaded through :class:`repro.aggregators.base.ServerContext` so the whole
+round shares one cache; all public entry points still accept a raw
+``np.ndarray`` and wrap it on the fly (:meth:`GradientBatch.wrap` is idempotent).
 
 The pairwise quantities intentionally mirror the pre-cache implementations
 exactly (``np.sum(g**2, axis=1)`` for squared norms, the expanded quadratic
@@ -88,9 +88,9 @@ class GradientBatch:
             quantities have been computed leaves the cache stale.
 
     Every derived quantity is computed at most once; ``compute_counts``
-    records how many times each one was *actually* computed, which the perf
-    smoke test uses to prove that optimized code paths never silently fall
-    back to naive recomputation.
+    records how many times each one was *actually* computed.  Validation
+    computes the norms, so the perf smoke test proves on an unvalidated
+    batch that optimized paths never silently fall back to recomputation.
     """
 
     __slots__ = (
@@ -121,7 +121,7 @@ class GradientBatch:
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
         if validate:
-            matrix = check_gradient_matrix(gradients, preserve_dtype=True)
+            matrix = check_gradient_matrix(gradients, preserve_dtype=True, finite=False)
         else:
             matrix = np.atleast_2d(np.asarray(gradients))
             if matrix.dtype not in _FLOAT_DTYPES:
@@ -136,6 +136,9 @@ class GradientBatch:
         self._distances: Optional[np.ndarray] = None
         self._sign_counts: Dict[float, np.ndarray] = {}
         self.compute_counts: Dict[str, int] = {}
+        # Only rows whose norm is not finite (NaN/inf, or an overflow) need a scan.
+        if validate and not np.isfinite(matrix[~np.isfinite(self.norms())]).all():
+            raise ValueError("gradients contains non-finite entries")
 
     # ------------------------------------------------------------------
     # Construction helpers

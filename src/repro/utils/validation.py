@@ -37,7 +37,11 @@ def check_fraction(value: float, name: str, *, inclusive: bool = True) -> float:
 
 
 def check_gradient_matrix(
-    gradients: np.ndarray, name: str = "gradients", *, preserve_dtype: bool = False
+    gradients: np.ndarray,
+    name: str = "gradients",
+    *,
+    preserve_dtype: bool = False,
+    finite: bool = True,
 ) -> np.ndarray:
     """Validate a stacked gradient matrix of shape ``(n_clients, dim)``.
 
@@ -51,6 +55,7 @@ def check_gradient_matrix(
         preserve_dtype: keep a float32 or float64 input's dtype instead of
             upcasting float32 (the reduced-precision round path); any other
             dtype is still coerced to float64.
+        finite: scan for non-finite entries (``GradientBatch`` checks norms).
     """
     if preserve_dtype:
         array = np.asarray(gradients)
@@ -67,7 +72,7 @@ def check_gradient_matrix(
         )
     if array.shape[0] == 0 or array.shape[1] == 0:
         raise ValueError(f"{name} must be non-empty, got shape {array.shape}")
-    if not np.all(np.isfinite(array)):
+    if finite and not np.all(np.isfinite(array)):
         raise ValueError(f"{name} contains non-finite entries")
     return array
 

@@ -7,8 +7,8 @@ same decisions as the pre-refactor implementations (kept frozen in
 gradients within tight float tolerance (summation orders may legally differ
 by ulps).  A float32 section checks the reduced-precision mode stays within
 float32 tolerance of the float64 reference.  The CNN window kernels
-(im2col, col2im, max-pool) keep the seed's arithmetic, so their section
-compares bytes, kernel by kernel and through whole CNN models.
+(im2col, col2im, max-pool) and ReLU keep the seed's arithmetic, so their
+section compares bytes, kernel by kernel and through whole models.
 """
 
 import numpy as np
@@ -21,10 +21,11 @@ from repro.aggregators.krum import KrumAggregator, MultiKrumAggregator, krum_sco
 from repro.clustering import MeanShift
 from repro.core.pipeline import SignGuardPipeline
 from repro.nn import layers
+from repro.nn.activations import ReLU
 from repro.nn.functional import col2im, im2col
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import ResNetLite, SimpleCNN
-from repro.nn.vectorize import get_flat_gradients
+from repro.nn.models import MLP, ResNetLite, SimpleCNN
+from repro.nn.vectorize import get_flat_gradients, grouped_gradient_views
 from repro.perf import reference as ref
 from repro.utils.batch import GradientBatch
 
@@ -205,7 +206,9 @@ class TestSignGuardEquivalence:
 
     def test_pipeline_computes_each_cached_quantity_once(self, population):
         """The optimized pipeline must never fall back to naive recomputation."""
-        batch = GradientBatch(population)
+        # Unvalidated: validation computes the norms, so a count of 1 would
+        # not show a filter or the clipped mean bypassing them.
+        batch = GradientBatch(population, validate=False)
         pipeline = SignGuardPipeline(similarity="euclidean")
         pipeline.aggregate(batch, reference=None, rng=np.random.default_rng(1))
         assert batch.compute_count("norms") == 1
@@ -240,7 +243,7 @@ class TestFloat32Mode:
 
 
 # ---------------------------------------------------------------------------
-# CNN window kernels: byte equality with the seed kernels
+# CNN window kernels and ReLU: byte equality with the seed kernels
 # ---------------------------------------------------------------------------
 
 DTYPES = pytest.mark.parametrize(
@@ -270,6 +273,35 @@ def test_im2col_col2im_match_seed_bytes(kernel, stride, padding, dtype):
         assert folded.shape == seed.shape and folded.dtype == seed.dtype
         assert folded.flags.c_contiguous
         assert folded.tobytes() == seed.tobytes()
+
+
+@DTYPES
+def test_relu_matches_seed_bytes(dtype):
+    """NaN, -NaN, signed zeros, infinities and subnormals, on the contiguous
+    inputs numpy's SIMD loops take and on strided and one-element inputs,
+    where ``fmax`` keeps a -0.0 that ``np.where`` turns into +0.0."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array(
+        [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.5],
+        dtype=dtype,
+    )
+    assert np.signbit(specials[1]) and not np.signbit(specials[0])
+    values = np.random.default_rng(7).permutation(np.tile(specials, 13))
+    inputs = {
+        "contiguous": values,
+        "strided": values[::3],
+        "transposed": values[:120].reshape(10, 12).T,
+        "channels-last": values[:120].reshape(2, 3, 4, 5).transpose(0, 3, 1, 2),
+    }
+    for index, value in enumerate(specials):
+        inputs[f"one-element {value!r}"] = specials[index : index + 1]
+    for name, x in inputs.items():
+        relu, seed = ReLU(), ReLU()
+        output = relu.forward(x)
+        expected = ref.relu_forward_reference(seed, x)
+        assert output.dtype == expected.dtype == dtype, name
+        assert output.tobytes() == expected.tobytes(), name
+        assert relu._mask.tobytes() == seed._mask.tobytes(), name
 
 
 def _pool_inputs(rng, shape):
@@ -337,6 +369,35 @@ def test_maxpool_nan_in_window_makes_output_nan(kernel, stride):
     assert grad_input.tobytes() == expected.tobytes()
 
 
+@DTYPES
+@pytest.mark.parametrize("kernel,stride", [(2, 2), (2, 3), (3, 1)])
+def test_maxpool_backward_non_finite_gradient_matches_seed_bytes(
+    kernel, stride, dtype
+):
+    # NaN or inf times a False mask is NaN, so routing by a product would
+    # spread it to pixels that np.add.at leaves at +0.0.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 3, 6, 6)).astype(dtype)
+    pool, seed_pool = layers.MaxPool2d(kernel, stride), layers.MaxPool2d(kernel, stride)
+    output = pool.forward(x)
+    ref.maxpool2d_forward_reference(seed_pool, x)
+    grad_output = rng.normal(size=output.shape).astype(dtype)
+    flat = grad_output.reshape(-1)
+    flat[::5], flat[1::7], flat[3::11] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):  # inf + -inf where windows overlap
+        grad_input = pool.backward(grad_output)
+        seed = ref.maxpool2d_backward_reference(seed_pool, grad_output)
+    nan = np.isnan(seed)
+    assert nan.any()
+    np.testing.assert_array_equal(np.isnan(grad_input), nan)
+    assert grad_input[~nan].tobytes() == seed[~nan].tobytes()
+    # Where windows overlap, a pixel can sum two non-finite gradients; the
+    # sign of the NaN that makes follows the add loop (np.add.at and an
+    # in-place add differ), so there only the NaN positions are compared.
+    if stride >= kernel:
+        assert grad_input.tobytes() == seed.tobytes()
+
+
 def test_conv2d_output_keeps_channels_last_storage(rng):
     # The gemm's (batch, h, w, channels) result behind an NCHW view: numpy
     # reduces in memory order, so a contiguous copy would move the bytes of
@@ -347,8 +408,40 @@ def test_conv2d_output_keeps_channels_last_storage(rng):
     assert output.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
-def _cnn_step(model_name, dtype):
-    """Loss, flat gradient and eval-mode logits of one 32-sample batch."""
+def _form_input_gradients(model):
+    """Have every layer form its input gradient, as the seed did."""
+    for module in model.modules():
+        if isinstance(module, (layers.Linear, layers.Conv2d)):
+            module.input_gradient = True
+
+
+def _mlp_grouped_step(dtype, *, seed):
+    """Per-batch losses, gradient rows and eval-mode logits of one grouped
+    pass over four 16-sample batches, as the cohort collect runs ``mlp``."""
+    rng = np.random.default_rng(21)
+    model = MLP(196, 10, hidden_dims=(64,), rng=3).astype(dtype)
+    if seed:
+        _form_input_gradients(model)
+    x = rng.normal(size=(4, 16, 196)).astype(dtype)
+    labels = rng.integers(0, 10, size=(4, 16))
+    loss_fn = CrossEntropyLoss()
+    model.train()
+    losses = loss_fn.forward_grouped(model.forward_grouped(x), labels)
+    rows = np.empty((4, model.num_parameters()), dtype=dtype)
+    model.backward_grouped(
+        loss_fn.backward_grouped(), grouped_gradient_views(model, rows)
+    )
+    model.eval()
+    return losses, rows, model(x[0])
+
+
+def _cnn_step(model_name, dtype, *, seed=False):
+    """Loss, flat gradient and eval-mode logits of one 32-sample batch.
+
+    ``seed`` has every layer form its input gradient, as the seed did.
+    """
+    if model_name == "mlp":
+        return _mlp_grouped_step(dtype, seed=seed)
     rng = np.random.default_rng(21)
     if model_name == "simple_cnn":
         model = SimpleCNN(in_channels=1, image_size=(14, 14), rng=3)
@@ -357,6 +450,8 @@ def _cnn_step(model_name, dtype):
         model = ResNetLite(in_channels=3, image_size=(16, 16), rng=3)
         x = rng.normal(size=(32, 3, 16, 16))
     model.astype(dtype)
+    if seed:
+        _form_input_gradients(model)
     x = x.astype(dtype)
     labels = rng.integers(0, 10, size=32)
     loss_fn = CrossEntropyLoss()
@@ -370,14 +465,15 @@ def _cnn_step(model_name, dtype):
 
 
 @DTYPES
-@pytest.mark.parametrize("model_name", ["simple_cnn", "resnet_lite"])
+@pytest.mark.parametrize("model_name", ["simple_cnn", "resnet_lite", "mlp"])
 def test_cnn_models_match_seed_kernels_bytes(model_name, dtype, monkeypatch):
     loss, gradient, logits = _cnn_step(model_name, dtype)
     monkeypatch.setattr(layers, "im2col", ref.im2col_reference)
     monkeypatch.setattr(layers, "col2im", ref.col2im_reference)
     monkeypatch.setattr(layers.MaxPool2d, "forward", ref.maxpool2d_forward_reference)
     monkeypatch.setattr(layers.MaxPool2d, "backward", ref.maxpool2d_backward_reference)
-    seed_loss, seed_gradient, seed_logits = _cnn_step(model_name, dtype)
+    monkeypatch.setattr(ReLU, "forward", ref.relu_forward_reference)
+    seed_loss, seed_gradient, seed_logits = _cnn_step(model_name, dtype, seed=True)
     assert gradient.dtype == seed_gradient.dtype == dtype
     assert loss.tobytes() == seed_loss.tobytes()
     assert gradient.tobytes() == seed_gradient.tobytes()

@@ -24,6 +24,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-finite"):
             GradientBatch(bad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry_in_either_dtype(self, matrix, dtype, entry):
+        bad = matrix.astype(dtype)
+        bad[3, 7] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            GradientBatch(bad)
+
+    @pytest.mark.parametrize("dtype,huge", [(np.float32, 1e20), (np.float64, 1e200)])
+    def test_accepts_a_finite_row_whose_norm_overflows(self, matrix, dtype, huge):
+        # The finite verdict reads the row norms; a finite row can overflow
+        # its norm to inf, and then its entries are scanned one by one.
+        gradients = matrix.astype(dtype)
+        gradients[5, 2] = huge
+        batch = GradientBatch(gradients)
+        expected = np.sqrt(np.einsum("ij,ij->i", gradients, gradients))
+        assert np.isinf(expected[5]) and np.isfinite(np.delete(expected, 5)).all()
+        assert batch.norms().tobytes() == expected.tobytes()
+        gradients[5, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            GradientBatch(gradients)
+
     def test_preserves_float32(self, matrix):
         batch = GradientBatch(matrix.astype(np.float32))
         assert batch.dtype == np.float32
@@ -106,7 +128,10 @@ class TestMemoization:
             assert batch.compute_count(name) == 1
 
     def test_laziness(self, matrix):
-        batch = GradientBatch(matrix)
+        # Validation computes the row norms, which carry its finite verdict,
+        # and nothing else; an unvalidated batch computes nothing until asked.
+        assert GradientBatch(matrix).compute_counts == {"norms": 1}
+        batch = GradientBatch(matrix, validate=False)
         assert batch.compute_counts == {}
         batch.norms()
         assert batch.compute_counts == {"norms": 1}

@@ -8,6 +8,7 @@ hand-written backprop implementation can have.
 import numpy as np
 import pytest
 
+from repro.nn import layers
 from repro.nn.layers import (
     BatchNorm1d,
     BatchNorm2d,
@@ -22,6 +23,8 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.activations import ReLU
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import SimpleCNN
 
 
 def check_input_gradient(layer, x, gradcheck, atol=1e-6):
@@ -151,6 +154,22 @@ class TestPooling:
         with pytest.raises(ValueError, match=message):
             layer(np.ones((2, 1, size, size)))
 
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (1, 2, 3, 4, 4)])
+    def test_maxpool_rejects_non_4d_input(self, shape):
+        with pytest.raises(ValueError, match=r"\(batch, channels, H, W\)"):
+            MaxPool2d(2)(np.ones(shape))
+
+    def test_maxpool_gradient_keeps_the_input_memory_order(self, rng):
+        # A conv output is channels-last storage behind an NCHW view; the
+        # gradient follows it, so ReLU and Conv2d below need no copy.
+        x = rng.normal(size=(2, 6, 6, 3)).transpose(0, 3, 1, 2)
+        layer = MaxPool2d(2)
+        grad = layer.backward(np.ones_like(layer(x)))
+        assert grad.transpose(0, 2, 3, 1).flags.c_contiguous
+        contiguous = layer.backward(np.ones_like(layer(np.ascontiguousarray(x))))
+        assert contiguous.flags.c_contiguous
+        assert grad.tobytes() == contiguous.tobytes()
+
     def test_global_avgpool(self, rng, gradcheck):
         layer = GlobalAvgPool2d()
         x = rng.normal(size=(3, 4, 5, 5))
@@ -246,6 +265,60 @@ class TestDropoutFlattenEmbedding:
     def test_embedding_rejects_out_of_vocab(self, rng):
         with pytest.raises(ValueError):
             Embedding(5, 3, rng=rng)(np.array([[7]]))
+
+
+class TestInputLayer:
+    """A model's input layer skips the input gradient nobody reads; every
+    layer built by hand still returns it."""
+
+    def test_layers_return_input_gradients_by_default(self, rng, gradcheck):
+        model = Sequential(
+            Conv2d(2, 3, 3, padding=1, rng=rng),
+            ReLU(),
+            MaxPool2d(2),
+            Flatten(),
+            Linear(12, 4, rng=rng),
+        )
+        assert model[0].input_gradient and model[4].input_gradient
+        check_input_gradient(model, rng.normal(size=(2, 2, 4, 4)), gradcheck)
+
+    @pytest.mark.parametrize(
+        "make_layer,shape",
+        [
+            (lambda: Linear(4, 3, rng=1), (5, 4)),
+            (lambda: Conv2d(2, 3, 3, padding=1, rng=1), (2, 2, 5, 5)),
+        ],
+        ids=["linear", "conv2d"],
+    )
+    def test_input_layer_returns_none_with_the_same_parameter_gradients(
+        self, rng, make_layer, shape
+    ):
+        full, skip = make_layer(), make_layer()
+        skip.input_gradient = False
+        x = rng.normal(size=shape)
+        grad_output = rng.normal(size=full(x).shape)
+        skip(x)
+        assert full.backward(grad_output).shape == x.shape
+        assert Sequential(Flatten(), skip).backward(grad_output) is None
+        for expected, param in zip(full.parameters(), skip.parameters()):
+            assert param.grad.tobytes() == expected.grad.tobytes()
+
+    def test_simple_cnn_step_forms_no_model_input_gradient(self, rng, monkeypatch):
+        # conv2 and conv3 fold their input gradients; conv1's would be the
+        # gradient with respect to the images, which no caller reads.
+        folded, fold = [], layers.col2im
+
+        def counting_col2im(columns, input_shape, *args):
+            folded.append(input_shape)
+            return fold(columns, input_shape, *args)
+
+        monkeypatch.setattr(layers, "col2im", counting_col2im)
+        model = SimpleCNN(in_channels=1, image_size=(14, 14), rng=0)
+        loss_fn = CrossEntropyLoss()
+        loss_fn(model(rng.normal(size=(4, 1, 14, 14))), rng.integers(0, 10, size=4))
+        assert model.backward(loss_fn.backward()) is None
+        assert folded == [(4, 16, 3, 3), (4, 8, 7, 7)]
+        assert all(np.any(param.grad != 0) for param in model.parameters())
 
 
 class TestSequentialAndResidual:
