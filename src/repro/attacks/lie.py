@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.attacks.base import Attack, AttackContext
 
@@ -44,6 +43,8 @@ def lie_z_max(num_clients: int, num_byzantine: int) -> float:
     ``phi`` is the standard normal CDF.  In words: the malicious value must
     still fall within the coordinate range covered by the benign majority.
     """
+    from scipy.stats import norm  # repro's only scipy use: keep it off import
+
     if num_clients < 2:
         raise ValueError(f"num_clients must be >= 2, got {num_clients}")
     if not 0 <= num_byzantine < num_clients:

@@ -70,8 +70,9 @@ aggregate instead.  The sequential backend fills on failure only: it
 tracks the completed prefix ``[0, k)`` of the buffer and NaN-fills rows
 ``[k:]`` before re-raising, so a successful round writes every row once
 (a full NaN pass is a buffer-sized write per round).  A fault-injected
-outage NaN-fills the whole buffer.  The fleet backends NaN-fill before
-dispatch, because their shards complete in any order.
+outage NaN-fills the whole buffer.  The fleet backends fill on failure
+only, too: a worker fills its shard's rows from a failing client on, and
+the caller the slice of a worker that failed (all rows on an unexpected error).
 
 Partial participation
 ---------------------

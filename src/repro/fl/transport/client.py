@@ -10,7 +10,7 @@ connection per configured worker.
 The round exchange is split into :meth:`begin_round` (send only) and
 :meth:`finish_round` (receive) so the collector can broadcast the round
 to every worker first and only then start gathering — workers compute
-concurrently while the caller drains replies one by one.
+concurrently while the caller drains every reply at once, one thread each.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ gradients, bit-identically to the sequential loop — across TCP:
   straight into that slice — one gather, no per-gradient pickling;
 * per round, every live worker gets the encoded global ``state_dict()``
   and its slice of the round's rows; workers compute concurrently while
-  the caller drains replies;
+  the caller drains every reply at once, one thread per worker, and only
+  a failed worker's slice of the buffer is ever NaN-filled;
 * client batch-sampling RNG streams live *inside* the owning worker and
   advance exactly once per computed round, so a healthy fleet is
   bit-identical to the sequential backend at any worker count, including
@@ -65,7 +66,8 @@ exercises the same ladder from the other end.)
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -279,66 +281,72 @@ class DistributedCollector(GradientCollector):
                 f"(fleet: {self.worker_addresses}){detail}"
             )
         bytes_before = self._wire_totals()
-        invalidate_buffer(out)
         all_rows = np.arange(len(clients)) if subset is None else subset
         dim = out.shape[-1]
-        state_blob = encode_state_dict(model.state_dict())
+        # No NaN pre-fill: each slice is overwritten, or NaN-filled on failure.
+        try:
+            state_blob = encode_state_dict(model.state_dict())
 
-        # Broadcast first (workers compute concurrently), gather second.
-        failed: List[int] = []
-        pending: List[Tuple[int, int, int]] = []  # (worker index, lo, hi)
-        for index, conn in enumerate(self._conns):
-            chunk = self._chunks[index]
-            if not len(chunk):
-                continue
-            lo = int(np.searchsorted(all_rows, chunk[0]))
-            hi = int(np.searchsorted(all_rows, chunk[-1] + 1))
-            if hi == lo:
-                continue  # none of this worker's clients participate
-            if self.fault_schedule.any_fires(fault_round, index):
-                # Injected link fault: sever the connection before the
-                # broadcast.  The worker never sees the round, so its
-                # clients' RNG streams stay untouched — recovery (or
-                # demotion) is bit-identical to a real dead link.
-                self._mark_failed(index, all_rows[lo:hi], failed)
-                continue
-            if not conn.connected:
-                failed.extend(int(i) for i in all_rows[lo:hi])
-                continue
-            try:
-                conn.begin_round(state_blob, all_rows[lo:hi], out.dtype, dim)
-                pending.append((index, lo, hi))
-            except (TransportError, FrameError, CodecError, OSError):
-                self._mark_failed(index, all_rows[lo:hi], failed)
+            # Broadcast first (workers compute concurrently), gather second.
+            failed: List[int] = []
+            pending: List[Tuple[int, int, int]] = []  # (worker index, lo, hi)
+            for index, conn in enumerate(self._conns):
+                chunk = self._chunks[index]
+                if not len(chunk):
+                    continue
+                lo = int(np.searchsorted(all_rows, chunk[0]))
+                hi = int(np.searchsorted(all_rows, chunk[-1] + 1))
+                if hi == lo:
+                    continue  # none of this worker's clients participate
+                if not conn.connected or self.fault_schedule.any_fires(
+                    fault_round, index
+                ):
+                    # Not connected, or an injected fault severs the link
+                    # before the broadcast: the worker never sees the round,
+                    # so its clients' RNG streams stay untouched — recovery
+                    # (or demotion) is bit-identical to a real dead link.
+                    self._mark_failed(index, all_rows[lo:hi], out[lo:hi], failed)
+                    continue
+                try:
+                    conn.begin_round(state_blob, all_rows[lo:hi], out.dtype, dim)
+                    pending.append((index, lo, hi))
+                except (TransportError, FrameError, CodecError, OSError):
+                    self._mark_failed(index, all_rows[lo:hi], out[lo:hi], failed)
 
-        self.worker_timings = []
-        stats_by_row: List[Tuple[int, list]] = []
-        first_error: Optional[BaseException] = None
-        for index, lo, hi in pending:
-            conn = self._conns[index]
-            try:
-                trailer = conn.finish_round(out[lo:hi])
-            except (TransportError, FrameError, CodecError, OSError):
-                self._mark_failed(index, all_rows[lo:hi], failed)
-                continue
-            error = self._consume_trailer(conn, trailer, clients, stats_by_row)
-            if error is not None and first_error is None:
-                first_error = error
+            # Fold in worker order, whichever reply came first.
+            self.worker_timings = []
+            stats_by_row: List[Tuple[int, list]] = []
+            first_error: Optional[BaseException] = None
+            for (index, lo, hi), reply in zip(pending, self._gather(pending, out)):
+                if isinstance(reply, (TransportError, FrameError, CodecError, OSError)):
+                    self._mark_failed(index, all_rows[lo:hi], out[lo:hi], failed)
+                    continue
+                if isinstance(reply, BaseException):
+                    raise reply
+                error = self._consume_trailer(
+                    self._conns[index], reply, clients, stats_by_row
+                )
+                if error is not None and first_error is None:
+                    first_error = error
 
-        # Recovery rung 2: recompute the failed rows on surviving workers
-        # before falling back to dropout demotion.
-        self.last_round_redispatched = ()
-        if failed and self.redispatch and first_error is None:
-            recovered, error = self._redispatch(
-                clients, model, out, all_rows, sorted(failed),
-                state_blob, stats_by_row,
-            )
-            if error is not None:
-                first_error = error
-            if recovered:
-                recovered_set = set(recovered)
-                failed = [row for row in failed if row not in recovered_set]
-                self.last_round_redispatched = tuple(sorted(recovered))
+            # Recovery rung 2: recompute the failed rows on surviving
+            # workers before falling back to dropout demotion.
+            self.last_round_redispatched = ()
+            if failed and self.redispatch and first_error is None:
+                recovered, error = self._redispatch(
+                    clients, model, out, all_rows, sorted(failed),
+                    state_blob, stats_by_row,
+                )
+                if error is not None:
+                    first_error = error
+                if recovered:
+                    recovered_set = set(recovered)
+                    failed = [row for row in failed if row not in recovered_set]
+                    self.last_round_redispatched = tuple(sorted(recovered))
+        except BaseException:
+            # An unexpected error can leave any slice unwritten: trust none.
+            invalidate_buffer(out)
+            raise
 
         self.failed_rows = tuple(sorted(failed))
         self.last_round_reconnects = (
@@ -443,12 +451,28 @@ class DistributedCollector(GradientCollector):
         """
         return dict(self._rng_states)
 
+    def _gather(self, pending: list, out: np.ndarray) -> list:
+        """Each pending worker's trailer or ``finish_round`` error, in order;
+        one thread per worker, so none waits in ``sendall`` behind another."""
+
+        def finish(job: Tuple[int, int, int]) -> Union[Dict, BaseException]:
+            try:
+                return self._conns[job[0]].finish_round(out[job[1] : job[2]])
+            except BaseException as exc:
+                return exc
+
+        if len(pending) < 2:
+            return [finish(job) for job in pending]
+        with ThreadPoolExecutor(max_workers=len(pending)) as pool:
+            return list(pool.map(finish, pending))
+
     def _mark_failed(
-        self, index: int, rows: np.ndarray, failed: List[int]
+        self, index: int, rows: np.ndarray, block: np.ndarray, failed: List[int]
     ) -> None:
-        """A worker died/timed out: drop its connection, record its rows."""
+        """A worker died/timed out: drop its link, NaN its slice, record its rows."""
         self._conns[index].drop()
         self._needs_setup[index] = True
+        invalidate_buffer(block)
         failed.extend(int(i) for i in rows)
 
     def _wire_totals(self) -> Tuple[int, int]:

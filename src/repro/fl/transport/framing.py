@@ -54,7 +54,7 @@ class OversizedFrameError(FrameError):
 _COALESCE_LIMIT = 1024 * 1024
 
 
-def send_frame(sock: socket.socket, *chunks: bytes) -> int:
+def send_frame(sock: socket.socket, *chunks: bytes | memoryview) -> int:
     """Send one frame whose payload is the concatenation of ``chunks``.
 
     Returns the total number of bytes put on the wire (prefix included).

@@ -36,7 +36,7 @@ The wire conversation between a caller (the
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.fl.transport.codec import (
     MESSAGE_NAMES,
@@ -51,6 +51,9 @@ from repro.fl.transport.framing import (
     recv_frame_into,
     send_frame,
 )
+
+if TYPE_CHECKING:
+    from typing_extensions import Buffer
 
 #: Version of the wire protocol.  Bumped on any incompatible change; the
 #: handshake refuses mismatched peers instead of mis-parsing their frames.
@@ -125,9 +128,11 @@ class Channel:
             f"{MESSAGE_NAMES.get(received, received)}"
         )
 
-    def send_raw(self, data: "bytes | bytearray | memoryview") -> None:
-        """Send one raw (non-enveloped) frame — the gradient-shard path."""
-        self.bytes_sent += send_frame(self.sock, bytes(data))
+    def send_raw(self, data: Buffer) -> None:
+        """Send any C-contiguous buffer as one raw frame, through a byte view
+        (no copy) — the gradient-shard path."""
+        view = memoryview(data)  # an empty 2-D view refuses cast("B")
+        self.bytes_sent += send_frame(self.sock, view.cast("B") if view.nbytes else b"")
 
     def recv_raw(self) -> bytes:
         """Receive one raw frame as bytes — the encoded-shard path."""

@@ -6,9 +6,10 @@ setup, together with a model replica) and then serves rounds: each
 the sorted global client ids to compute this round; the worker loads the
 state, runs its clients one after the other *exactly as the sequential
 backend does* (so per-client RNG streams and BatchNorm statistics behave
-identically), and streams the gradient shard back as
-one raw frame followed by a trailer with losses, recorded batch
-statistics, post-round RNG states, and timing.
+identically), and streams the gradient shard back as one raw frame, sent
+from a buffer kept per connection (rows from a failing client on are
+NaN-filled), then a trailer with losses, recorded batch statistics,
+post-round RNG states, and timing.
 
 The worker process is deliberately dumb and stateless across connections:
 a shard lives for one connection and is dropped when that connection ends
@@ -66,7 +67,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.fl.client import FederatedClient, compute_cohort_gradients
-from repro.fl.collector import _batch_stat_modules
+from repro.fl.collector import _batch_stat_modules, invalidate_buffer
 from repro.fl.faults import FaultSchedule
 from repro.fl.transport.codec import (
     MSG_BYE,
@@ -157,6 +158,7 @@ class WorkerServer:
         # The shard: installed by SETUP, dropped when its connection ends.
         self._model: Optional[Module] = None
         self._clients: Dict[int, FederatedClient] = {}
+        self._buffer: Optional[np.ndarray] = None  # a round's shard is a view
         self._rounds_received = 0
         self._hellos_received = 0
 
@@ -191,6 +193,7 @@ class WorkerServer:
                 channel.close()
                 self._model = None
                 self._clients = {}
+                self._buffer = None
 
     def start_in_thread(self) -> threading.Thread:
         """Serve from a daemon thread (in-process localhost fleets)."""
@@ -366,7 +369,11 @@ class WorkerServer:
             self._refuse(channel, f"rows {unknown} are not in this worker's shard")
             return
         self._model.load_state_dict(decode_state_dict(body))
-        shard = np.full((len(rows), dim), np.nan, dtype=dtype)
+        size = len(rows) * dim
+        buffer = self._buffer
+        if buffer is None or buffer.dtype != dtype or buffer.size < size:
+            buffer = self._buffer = np.empty(size, dtype=dtype)
+        shard = buffer[:size].reshape(len(rows), dim)
         shard_clients = [self._clients[row] for row in rows]
         stat_modules = _batch_stat_modules(self._model)
         losses: List[Tuple[int, float]] = []
@@ -399,6 +406,8 @@ class WorkerServer:
         seconds = monotonic() - start
         count = len(losses)
         if error is not None:
+            # Rows from the failing client on may hold an earlier round's.
+            invalidate_buffer(shard[count:])
             try:
                 pickle.dumps(error)
             except Exception:
@@ -411,10 +420,10 @@ class WorkerServer:
             # Fast path, byte-identical to the pre-codec protocol: the SHARD
             # header carries no codec key and the frame is the shard's bytes.
             channel.send(MSG_SHARD, {"rows": len(rows), "nbytes": shard.nbytes})
-            channel.send_raw(shard.tobytes())
+            channel.send_raw(shard)
         else:
             if error is not None:
-                # Rows past the failing client are still NaN; the caller
+                # Rows past the failing client are NaN; the caller
                 # raises the error without aggregating, but a lossy codec
                 # (rightly) refuses non-finite input — neutralise it.
                 np.nan_to_num(shard, copy=False, nan=0.0, posinf=0.0, neginf=0.0)

@@ -1,5 +1,9 @@
 """Tests for the Little-Is-Enough attack and its supporting math."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -26,6 +30,27 @@ class TestLieZMax:
         """For n=50, m=10 the maximal factor is a small positive number (<1)."""
         z = lie_z_max(50, 10)
         assert 0.0 < z < 1.0
+
+    @pytest.mark.parametrize("n, m", [(50, 10), (20, 4), (7, 3), (400, 40)])
+    def test_equals_normal_quantile_exactly(self, n, m):
+        supporters = n - int(np.floor(n / 2 + 1))
+        assert lie_z_max(n, m) == float(norm.ppf(supporters / (n - m)))
+
+    def test_importing_repro_does_not_load_scipy(self):
+        # Only lie_z_max needs scipy; the package and every repro-worker
+        # start must not pay for (or depend on) importing it.
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {source_root!r}); "
+            "import repro, repro.fl.transport.worker; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

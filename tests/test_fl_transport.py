@@ -9,6 +9,8 @@ The contracts under test:
 * a healthy localhost fleet is **bit-identical** to the sequential
   backend at any worker count, including sampled ``rows=`` cohorts and
   BatchNorm models;
+* the gather copies no shard, NaN-fills only a failed worker's slice and
+  drains every worker at once, folding replies in worker order;
 * a worker that dies or times out mid-round degrades to
   ``RoundPlan`` dropouts — the round completes, the run continues, and a
   replacement worker resumes the lost clients' RNG streams bit-exactly
@@ -18,7 +20,9 @@ The contracts under test:
 from __future__ import annotations
 
 import socket
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
 from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.experiment import run_experiment
-from repro.fl.faults import FaultSchedule
+from repro.fl.faults import FaultSchedule, FaultSpec
 from repro.fl.participation import ParticipationSchedule, RoundPlan
 from repro.fl.server import FederatedServer
 from repro.fl.simulation import FederatedSimulation
@@ -71,6 +75,7 @@ from repro.fl.transport.framing import (
     send_frame,
 )
 from repro.fl.transport.protocol import PROTOCOL_VERSION, hello_header
+from repro.nn.models.mlp import MLP
 from repro.utils.rng import RngFactory
 from repro.utils.serialization import arrays_to_blob, blob_to_arrays
 from tests.test_fl_parallel_collect import (
@@ -711,6 +716,194 @@ class TestFaultInjection:
                 assert collector.failed_rows == ()
             finally:
                 collector.close()
+
+
+class ExplodesFromSecondRound(BenignClient):
+    """Computes its first round, then raises (module-level: it pickles)."""
+
+    def compute_gradient(self, model):
+        self.rounds = getattr(self, "rounds", 0) + 1
+        if self.rounds > 1:
+            raise RuntimeError("client bug, not a dropout")
+        return super().compute_gradient(model)
+
+
+class TestFleetGather:
+    """The round's fixed cost: no shard copies, per-slice invalidation and a
+    concurrent gather, with every row still this round's gradient or NaN."""
+
+    def test_steady_state_round_copies_no_shard(self):
+        # A one-worker thread fleet runs its worker in this process, so
+        # tracemalloc sees both ends: the worker reuses its shard buffer
+        # and sends from it, and the caller receives into the round buffer.
+        model = MLP(14 * 14, 10, hidden_dims=(32,), rng=np.random.default_rng(1))
+        fleet_clients, sequential_clients = make_clients(20), make_clients(20)
+        out = np.empty((20, model.num_parameters()))
+        reference = np.empty_like(out)
+
+        def traced_peak(collect):
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                collect()
+                return tracemalloc.get_traced_memory()[1] - baseline
+            finally:
+                tracemalloc.stop()
+
+        sequential = SequentialCollector()
+        with start_thread_fleet(1) as fleet:
+            with DistributedCollector(fleet.addresses) as collector:
+                for _ in range(2):  # warm up: the worker's buffer exists
+                    collector.collect(fleet_clients, model, out)
+                    sequential.collect(sequential_clients, model, reference)
+                fleet_peak = traced_peak(
+                    lambda: collector.collect(fleet_clients, model, out)
+                )
+        sequential_peak = traced_peak(
+            lambda: sequential.collect(sequential_clients, model, reference)
+        )
+        assert np.array_equal(out, reference)
+        assert fleet_peak - sequential_peak < 0.5 * out.nbytes
+
+    def test_gather_from_more_workers_than_cores_stays_bit_identical(self):
+        # Five reader threads drain five workers into disjoint slices of one
+        # buffer, with thread switches forced often: a reply written to the
+        # wrong slice, or a lost trailer, breaks equality with the sequential
+        # loop.
+        n_clients, rounds = 10, 3
+        model = make_model()
+        reference = np.empty((rounds, n_clients, model.num_parameters()))
+        sequential = make_clients(n_clients)
+        for index in range(rounds):
+            SequentialCollector().collect(sequential, model, reference[index])
+        clients, out = make_clients(n_clients), np.empty_like(reference)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with start_thread_fleet(5) as fleet:
+                collector = DistributedCollector(fleet.addresses, round_timeout=60.0)
+                with collector:
+                    for index in range(rounds):
+                        collector.collect(clients, model, out[index])
+                timings = [address for address, _, _ in collector.worker_timings]
+                assert timings == fleet.addresses
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out, reference)
+        assert [c.last_loss for c in clients] == [c.last_loss for c in sequential]
+
+    @staticmethod
+    def record_invalidations(monkeypatch):
+        import repro.fl.collector as collector_module
+        import repro.fl.transport.collector as transport_collector
+        import repro.fl.transport.worker as worker_module
+
+        calls = []
+
+        def recording(block):
+            calls.append(block)
+            collector_module.invalidate_buffer(block)
+
+        for module in (transport_collector, worker_module):
+            monkeypatch.setattr(module, "invalidate_buffer", recording)
+        return calls
+
+    def test_healthy_round_never_nan_fills(self, monkeypatch):
+        calls = self.record_invalidations(monkeypatch)
+        model = make_model()
+        reference = np.empty((8, model.num_parameters()))
+        SequentialCollector().collect(make_clients(8), model, reference)
+        out = np.full_like(reference, 7.0)
+        with start_thread_fleet(2) as fleet:
+            with DistributedCollector(fleet.addresses) as collector:
+                collector.collect(make_clients(8), model, out)
+        assert calls == []
+        assert np.array_equal(out, reference)
+
+    def test_failed_worker_nan_fills_only_its_slice(self, monkeypatch):
+        calls = self.record_invalidations(monkeypatch)
+        model = make_model()
+        reference = np.empty((8, model.num_parameters()))
+        SequentialCollector().collect(make_clients(8), model, reference)
+        out = np.full_like(reference, 7.0)
+        # Sever worker 0's link (clients 0-3) at the first round.
+        schedule = FaultSchedule([FaultSpec("crash", 1, worker=0)])
+        with start_thread_fleet(2) as fleet:
+            with DistributedCollector(
+                fleet.addresses, fault_schedule=schedule, redispatch=False
+            ) as collector:
+                collector.collect(make_clients(8), model, out)
+                assert collector.failed_rows == (0, 1, 2, 3)
+        assert len(calls) == 1
+        assert calls[0].shape == (4, model.num_parameters())
+        assert calls[0].ctypes.data == out.ctypes.data
+        assert np.all(np.isnan(out[:4]))
+        assert np.array_equal(out[4:], reference[4:])
+        assert not np.any(out == 7.0)
+
+    def test_reused_shard_buffer_nan_fills_after_failing_client(self):
+        def population():
+            clients = make_clients(6)
+            clients[2] = ExplodesFromSecondRound(
+                2, clients[2].dataset, batch_size=16, rng=RngFactory(0).make("c2")
+            )
+            return clients
+
+        model = make_model()
+        sequential, reference = population(), np.empty((6, model.num_parameters()))
+        SequentialCollector().collect(sequential, model, reference)
+        with pytest.raises(RuntimeError, match="client bug"):
+            SequentialCollector().collect(sequential, model, reference)
+
+        # One worker, one connection: the failing round's shard is the
+        # buffer the successful round filled, so the rows from the failing
+        # client on must be NaN-filled, never the earlier round's values.
+        clients, out = population(), np.empty_like(reference)
+        with start_thread_fleet(1) as fleet:
+            with DistributedCollector(fleet.addresses) as collector:
+                collector.collect(clients, model, out)
+                with pytest.raises(RuntimeError, match="client bug"):
+                    collector.collect(clients, model, out)
+        assert np.all(np.isfinite(out[:2]))
+        assert np.all(np.isnan(out[2:]))
+        assert np.array_equal(out, reference, equal_nan=True)
+
+    def test_out_of_order_replies_fold_in_worker_order(self, monkeypatch):
+        def run(collector, rounds=2):
+            clients, model = make_clients(6), BatchNormMLP()
+            out = np.empty((6, model.num_parameters()))
+            for _ in range(rounds):
+                collector.collect(clients, model, out)
+            buffers = {name: v.copy() for name, v in model.named_buffers()}
+            return out, [client.last_loss for client in clients], buffers
+
+        seq_out, seq_losses, seq_buffers = run(SequentialCollector())
+
+        finished = []
+        finish_round = WorkerConnection.finish_round
+
+        def recording(conn, out):
+            trailer = finish_round(conn, out)
+            finished.append(conn.address)
+            return trailer
+
+        monkeypatch.setattr(WorkerConnection, "finish_round", recording)
+        # Worker 0 sleeps before its second round, so worker 1 replies first.
+        stall = FaultSchedule.from_args(["stall@2:0.3"])
+        with start_thread_fleet(2, fault_schedule=stall) as fleet:
+            with DistributedCollector(fleet.addresses, round_timeout=30.0) as collector:
+                out, losses, buffers = run(collector)
+                timings = [address for address, _, _ in collector.worker_timings]
+        first, second = fleet.addresses
+        # Round 1's replies may come in either order; round 2's cannot.
+        assert sorted(finished[:2]) == sorted(fleet.addresses)
+        assert finished[2:] == [second, first]
+        assert timings == [first, second]
+        assert np.array_equal(out, seq_out)
+        assert losses == seq_losses
+        for name in seq_buffers:
+            assert np.array_equal(buffers[name], seq_buffers[name])
 
 
 class TestDemoteToDropped:
